@@ -34,6 +34,9 @@ from repro.nn.model import SequenceClassifier
 
 DEFAULT_OUTPUT = "BENCH_parallel_scaling.json"
 
+#: Timed sweeps per rung; the rung's rate comes from their median.
+REPEATS = 9
+
 
 def _worker_counts(max_workers: int) -> list:
     """1, 2, 4, ... doubling up to (and including) ``max_workers``."""
@@ -46,19 +49,26 @@ def _worker_counts(max_workers: int) -> list:
 
 
 def _timed_run(engine, sequences, chunk_size: int, workers: int):
-    """One timed ``predict_proba`` sweep (pool prebuilt and warmed)."""
-    if workers > 1:
-        engine.worker_pool(workers)  # fork + broadcast outside the clock
-        engine.predict_proba(sequences[:chunk_size], chunk_size=chunk_size,
-                             workers=workers)  # warm-up shard
-    else:
-        engine.predict_proba(sequences[:chunk_size], chunk_size=chunk_size)
+    """Warm one rung, then time ``REPEATS`` ``predict_proba`` sweeps.
+
+    The untimed set-up (pool fork + weight broadcast, and one full sweep
+    so every worker's lazy state and the OS's placement of the workers
+    settle) is timed on its own.  Returns the probabilities of every
+    timed sweep, their wall seconds and the set-up seconds.
+    """
     start = time.perf_counter()
-    probabilities = engine.predict_proba(
-        sequences, chunk_size=chunk_size, workers=workers
-    )
-    seconds = time.perf_counter() - start
-    return probabilities, seconds
+    if workers > 1:
+        engine.worker_pool(workers)
+    engine.predict_proba(sequences, chunk_size=chunk_size, workers=workers)
+    setup_seconds = time.perf_counter() - start
+    sweeps, seconds = [], []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        sweeps.append(engine.predict_proba(
+            sequences, chunk_size=chunk_size, workers=workers
+        ))
+        seconds.append(time.perf_counter() - start)
+    return sweeps, seconds, setup_seconds
 
 
 def run_scaling(
@@ -67,7 +77,11 @@ def run_scaling(
     chunk_size: int,
     max_workers: int,
 ) -> dict:
-    """Sweep worker counts; returns the result document (plain data)."""
+    """Sweep worker counts; returns the result document (plain data).
+
+    Each rung's rate comes from the median of its ``REPEATS`` timed
+    sweeps, so one sweep stalled by the host does not decide a speedup.
+    """
     rng = np.random.default_rng(0)
     sequences = rng.integers(
         0, engine.config.dimensions.vocab_size,
@@ -77,19 +91,25 @@ def run_scaling(
     baseline_probabilities = None
     baseline_rate = None
     for workers in _worker_counts(max_workers):
-        probabilities, seconds = _timed_run(
+        sweeps, seconds, setup_seconds = _timed_run(
             engine, sequences, chunk_size, workers
         )
-        rate = num_sequences / seconds
+        median_seconds = float(np.median(seconds))
+        rate = num_sequences / median_seconds
         if baseline_probabilities is None:
-            baseline_probabilities = probabilities
+            baseline_probabilities = sweeps[0]
             baseline_rate = rate
-        bit_exact = bool(np.array_equal(probabilities, baseline_probabilities))
+        bit_exact = all(
+            np.array_equal(probabilities, baseline_probabilities)
+            for probabilities in sweeps
+        )
         results.append(
             {
                 "workers": workers,
                 "mode": engine._pool.mode if workers > 1 else "single",
-                "seconds": seconds,
+                "seconds": median_seconds,
+                "sweep_seconds": seconds,
+                "setup_seconds": setup_seconds,
                 "sequences_per_second": rate,
                 "speedup": rate / baseline_rate,
                 "efficiency": rate / baseline_rate / workers,
@@ -101,9 +121,11 @@ def run_scaling(
         "benchmark": "parallel_scaling",
         "host_cores": os.cpu_count(),
         "optimization": engine.config.optimization.name,
+        "backend": engine.config.backend,
         "sequence_length": engine.config.dimensions.sequence_length,
         "num_sequences": num_sequences,
         "chunk_size": chunk_size,
+        "repeats": REPEATS,
         "results": results,
     }
 
@@ -112,13 +134,18 @@ def _report_lines(document: dict) -> list:
     lines = [
         f"host cores: {document['host_cores']}  "
         f"optimization: {document['optimization']}  "
+        f"backend: {document['backend']}  "
         f"{document['num_sequences']} sequences x "
-        f"{document['sequence_length']} items (chunk {document['chunk_size']})",
+        f"{document['sequence_length']} items (chunk {document['chunk_size']}), "
+        f"median of {document['repeats']} sweeps per rung",
     ]
     for row in document["results"]:
         lines.append(
             f"workers {row['workers']:2d} [{row['mode']:9s}]: "
             f"{row['sequences_per_second']:8.1f} seq/s  "
+            f"sweeps {min(row['sweep_seconds']) * 1e3:.1f}-"
+            f"{max(row['sweep_seconds']) * 1e3:.1f} ms  "
+            f"set-up {row['setup_seconds'] * 1e3:.1f} ms  "
             f"speedup {row['speedup']:.2f}x  "
             f"efficiency {row['efficiency']:.2f}  "
             f"bit-exact {row['bit_exact_vs_single_process']}"

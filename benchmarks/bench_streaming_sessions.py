@@ -297,7 +297,8 @@ def bench_streaming_sessions(benchmark, bench_model, bench_telemetry):
     from benchmarks.conftest import record_report
 
     engine = engine_at_level(
-        bench_model, OptimizationLevel.FIXED_POINT, sequence_length=60
+        bench_model, OptimizationLevel.FIXED_POINT, sequence_length=60,
+        backend="reference",  # the recompute oracle; see main()
     )
     if bench_telemetry is not None:
         engine.attach_telemetry(bench_telemetry)
@@ -349,7 +350,7 @@ def main(argv=None) -> int:
     parser.add_argument("--assert-backend-speedup-if-accelerated", type=float,
                         default=None, metavar="X",
                         help="like --assert-backend-speedup, but enforced "
-                             "only when a compiled tier (numba/cc) is "
+                             "only when the compiled C tier is "
                              "active; on the pure-NumPy fallback the run "
                              "must still be bit-exact but speed is not "
                              "gated (the graceful-degradation contract)")
@@ -371,10 +372,13 @@ def main(argv=None) -> int:
         )
         strides = tuple(args.strides)
 
+    # The engine runs the recompute baseline, the verdict oracle, so it is
+    # pinned to ``reference``; --backend selects the incremental pass only.
     engine = engine_at_level(
         SequenceClassifier(seed=0),
         OptimizationLevel[args.optimization],
         sequence_length=window,
+        backend="reference",
     )
     document = run_sweep(
         engine, stream_counts=stream_counts, strides=strides,

@@ -46,7 +46,7 @@ import sys
 
 from repro.core.config import EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine
-from repro.core.kernels.backends import available_backends
+from repro.core.kernels.backends import DEFAULT_BACKEND, available_backends
 from repro.hw.emulation import render_engine_report
 from repro.nn.model import SequenceClassifier
 from repro.nn.serialization import dump_weights
@@ -96,8 +96,9 @@ def _add_training_arguments(parser) -> None:
     parser.add_argument(
         "--train-backend", choices=available_training_backends(),
         default=DEFAULT_TRAIN_BACKEND,
-        help="training kernel backend; 'fused' is bit-exact with "
-             "'reference' and faster (see docs/performance.md)")
+        help=f"training kernel backend (default {DEFAULT_TRAIN_BACKEND!r}); "
+             "'fused' is bit-exact with 'reference' and faster "
+             "(see docs/performance.md)")
     parser.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="content-addressed model cache directory: identical "
@@ -239,7 +240,7 @@ def _run_report(args) -> int:
     config = EngineConfig(
         optimization=OptimizationLevel[args.optimization],
         num_gate_cus=args.gate_cus,
-        backend=getattr(args, "backend", None) or "reference",
+        backend=getattr(args, "backend", None) or DEFAULT_BACKEND,
     )
     engine = CSDInferenceEngine.build_unloaded(config)
     _maybe_attach_telemetry(engine, args)
@@ -414,7 +415,7 @@ def _run_fleet_serve(args) -> int:
     dims = _dc.replace(weights.dimensions, sequence_length=args.sequence_length)
     config = EngineConfig(
         dimensions=dims, optimization=OptimizationLevel[args.optimization],
-        backend=getattr(args, "backend", None) or "reference",
+        backend=getattr(args, "backend", None) or DEFAULT_BACKEND,
     )
     engines = build_fleet(weights, args.devices, config=config)
     streams = [
@@ -559,7 +560,7 @@ def _run_control_plane(args) -> int:
     dims = _dc.replace(weights.dimensions, sequence_length=args.window)
     config = EngineConfig(
         dimensions=dims, optimization=OptimizationLevel.FIXED_POINT,
-        backend=getattr(args, "backend", None) or "reference",
+        backend=getattr(args, "backend", None) or DEFAULT_BACKEND,
     )
     topology = TopologySpec(
         racks=args.racks, nodes_per_rack=args.nodes_per_rack,
@@ -885,8 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=available_backends(), default=None,
         help="kernel backend for the inference/session hot path "
              "(default: the engine's configured backend, normally "
-             "'reference'; 'fused' is bit-exact and faster — see "
-             "docs/performance.md)",
+             f"{DEFAULT_BACKEND!r}; 'reference' is the slower "
+             "bit-exactness oracle — see docs/performance.md)",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
     _add_dataset_command(subparsers)

@@ -83,6 +83,10 @@ class ModelDimensions:
 #: The four gate kernels, in the paper's Fig. 2 order.
 GATE_NAMES = ("i", "f", "o", "c")
 
+#: The default kernel backend of :class:`EngineConfig` (and so of every
+#: engine and CLI command that does not name one).
+DEFAULT_BACKEND = "fused"
+
 
 @dataclasses.dataclass(frozen=True)
 class EngineConfig:
@@ -112,12 +116,14 @@ class EngineConfig:
         Fixed-point format used when ``optimization`` is ``FIXED_POINT``.
     backend:
         Kernel backend for the inference/session hot path (see
-        :mod:`repro.core.kernels.backends`).  ``"reference"`` (the
-        default) runs the per-kernel NumPy pipeline exactly as shipped;
-        ``"fused"`` collapses each tick into one precompiled step over
-        persistent state, bit-exact with ``reference`` at every
-        optimisation level.  Validated lazily at first use (the registry
-        lives above this module in the import graph), never here.
+        :mod:`repro.core.kernels.backends`).  ``"fused"`` (the default,
+        :data:`DEFAULT_BACKEND`) collapses each tick into one precompiled
+        step over persistent state, bit-exact with ``"reference"`` at
+        every optimisation level; ``"reference"`` runs the per-kernel
+        NumPy pipeline exactly as shipped and is the oracle that parity
+        checks select by name.  Validated lazily at first use (the
+        registry lives above this module in the import graph), never
+        here.
     """
 
     dimensions: ModelDimensions = dataclasses.field(default_factory=ModelDimensions)
@@ -128,7 +134,7 @@ class EngineConfig:
     fpga_part: FpgaPart = ALVEO_U200
     kernel_clock_hz: float = DEFAULT_KERNEL_CLOCK_HZ
     qformat: QFormat = PAPER_QFORMAT
-    backend: str = "reference"
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if self.num_gate_cus not in (1, 2, 4):

@@ -7,20 +7,20 @@ module gives the engine pluggable *execution backends* for that hot path:
 
 * ``reference`` — the existing NumPy kernels, invoked exactly as before.
   It is the bit-exactness oracle: every other backend must reproduce its
-  results bit for bit at every :class:`~repro.core.config.OptimizationLevel`.
-* ``fused`` — one precompiled step per tick.  At ``FIXED_POINT`` the
-  embedding lookup, stacked gate matmul, rescale, PLAN sigmoid/softsign
-  activations, cell/hidden update, and FC head all execute as a single
-  fused pass over ``(N, H)`` float64 state arrays held in a persistent
-  slot arena — no per-slot Python, no row stacking, no int64
-  temporaries.  The element-wise chain compiles through a ladder of
-  acceleration tiers: numba JIT when importable, else a small C kernel
-  built once per model shape with the system compiler, else a
-  vectorised NumPy formulation of the same arithmetic (still fused,
-  still bit-exact).  The float levels keep the reference kernels for
-  the math (their ``np.sum`` pairwise reduction is the batch-stability
-  contract) but still benefit from the fused session stepper's
-  persistent arena and roster caching.
+  results bit for bit at every :class:`~repro.core.config.OptimizationLevel`,
+  and parity checks select it by name.
+* ``fused`` (the default) — one precompiled step per tick.  At
+  ``FIXED_POINT`` the embedding lookup, stacked gate matmul, rescale,
+  PLAN sigmoid/softsign activations, cell/hidden update, and FC head all
+  execute as a single fused pass over ``(N, H)`` float64 state arrays
+  held in a persistent slot arena — no per-slot Python, no row
+  stacking, no int64 temporaries.  The element-wise chain runs as a
+  small C kernel built once per model shape with the system compiler,
+  else as a vectorised NumPy formulation of the same arithmetic (still
+  fused, still bit-exact).  The float levels keep the reference kernels
+  for the math (their ``np.sum`` pairwise reduction is the
+  batch-stability contract) but still benefit from the fused session
+  stepper's persistent arena and roster caching.
 
 Why float64 carriers are exact here
 -----------------------------------
@@ -45,11 +45,10 @@ host, not an assumption.
 
 Fallback reasons
 ----------------
-``no_numba`` / ``jit_error``
-    numba missing or failed to compile; the next acceleration tier runs
-    instead — the compiled C step if a system compiler is available,
-    else the NumPy fused path (still fused, still fast — a degradation
-    of degree only).
+``jit_error``
+    the C step could not be built, or it failed the self-check; the
+    NumPy fused path runs instead (still fused, still fast — a
+    degradation of degree only).
 ``unsafe_bounds``
     the model/scale violates a static exactness bound; reference math.
 ``self_check_failed``
@@ -65,23 +64,24 @@ See ``docs/performance.md`` ("The kernel backend registry") and
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
-from repro.core.config import GATE_NAMES
+from repro.cbuild import load_c_library
+# DEFAULT_BACKEND lives beside EngineConfig.backend, its one consumer;
+# it is re-exported here with the registry it names.
+from repro.core.config import DEFAULT_BACKEND, GATE_NAMES  # noqa: F401
 
 #: Metric names (documented in docs/observability.md).
 METRIC_FALLBACK = "repro_backend_fallback_total"
 METRIC_TICKS = "repro_backend_ticks_total"
 
 #: ``repro_backend_fallback_total``'s ``reason`` label values.
-FALLBACK_NO_NUMBA = "no_numba"
 FALLBACK_JIT_ERROR = "jit_error"
 FALLBACK_UNSAFE_BOUNDS = "unsafe_bounds"
 FALLBACK_SELF_CHECK = "self_check_failed"
 FALLBACK_OVERFLOW_GUARD = "overflow_guard"
-
-#: The default backend of :class:`~repro.core.config.EngineConfig`.
-DEFAULT_BACKEND = "reference"
 
 #: Safety margin for the fused matmul rescale-by-inverse: quotients up to
 #: this magnitude keep the float error (~q * 2**-52) at least three
@@ -216,9 +216,10 @@ class _FusedFixedMath:
         self.f32_one, self.f32_half = f32(s), f32(self.half)
 
         self._concat: dict = {}  # batch size -> (n, F) work buffer
-        self._jit, self.jit_reason, self.accel_tier = _build_jit_step(
+        self._jit = _build_cc_step(
             self.hidden_size, self.scale, _INV_RESCALE_EPS
         )
+        self.accel_tier = "cc" if self._jit is not None else None
 
     # -- static exactness screen ---------------------------------------
 
@@ -390,117 +391,6 @@ class _FusedFixedMath:
         self.accel_tier = None
 
 
-def _build_jit_step(hidden_size: int, scale: int, eps: float) -> tuple:
-    """Compile the element-wise tick chain through the acceleration ladder.
-
-    Returns ``(compiled_or_None, fallback_reason_or_None, tier_or_None)``
-    where ``tier`` is ``"numba"`` or ``"cc"``.  Tiers, in order:
-
-    1. numba JIT of the scalar chain;
-    2. a C formulation of the same arithmetic, compiled once per
-       ``(hidden_size, scale)`` with the system compiler and loaded via
-       ctypes;
-    3. ``None`` — the caller runs the vectorised NumPy fused path.
-
-    Every tier replicates the fused arithmetic op for op in IEEE float64
-    (deterministic regardless of how it is compiled), so a successful
-    compile is bit-equal by construction — and the build-time self-check
-    probe verifies it on the live weights anyway.
-    """
-    step, reason = _build_numba_step(hidden_size, scale, eps)
-    if step is not None:
-        return step, None, "numba"
-    cc_step = _build_cc_step(hidden_size, scale, eps)
-    if cc_step is not None:
-        # numba was the preferred tier; record why it was skipped even
-        # though the C tier delivers comparable acceleration.
-        return cc_step, reason, "cc"
-    return None, reason, None
-
-
-def _build_numba_step(hidden_size: int, scale: int, eps: float) -> tuple:
-    """numba-JIT the scalar tick chain; ``(step_or_None, reason_or_None)``."""
-    try:
-        import numba
-    except Exception:
-        return None, FALLBACK_NO_NUMBA
-    try:
-        import math as pymath
-
-        H = hidden_size
-        half = float(scale // 2)
-        fscale = float(scale)
-        inv = 1.0 / fscale
-        q1, q2, q3 = fscale, 2.375 * fscale, 5.0 * fscale
-        i1, i2, i3 = 0.5 * fscale, 0.625 * fscale, 0.84375 * fscale
-
-        @numba.njit(cache=False, fastmath=False)
-        def _frd_inv(x):
-            t = pymath.floor((abs(x) + half) * inv + eps)
-            return -t if x < 0.0 else t
-
-        @numba.njit(cache=False, fastmath=False)
-        def _frd_div(x):
-            t = pymath.floor((abs(x) + half) / fscale)
-            return -t if x < 0.0 else t
-
-        @numba.njit(cache=False, fastmath=False)
-        def _sig(x):
-            if x == 0.0:
-                return half
-            m = abs(x)
-            if m < q1:
-                r = pymath.floor(m * 0.25 + 0.5) + i1
-            elif m < q2:
-                r = pymath.floor(m * 0.125 + 0.5) + i2
-            elif m < q3:
-                r = pymath.floor(m * 0.03125 + 0.5) + i3
-            else:
-                r = fscale
-            return fscale - r if x < 0.0 else r
-
-        @numba.njit(cache=False, fastmath=False)
-        def _ss(x):
-            num = x * fscale
-            den = abs(x) + fscale
-            mag = abs(num)
-            q = pymath.floor(mag / den)
-            r = mag - q * den
-            if r >= den - pymath.floor(den * 0.5):
-                q += 1.0
-            return -q if num < 0.0 else q
-
-        @numba.njit(cache=False, fastmath=False)
-        def step(pre, bias, c, out_h, out_c):
-            n = pre.shape[0]
-            max_cell = 0.0
-            for row in range(n):
-                for k in range(H):
-                    g_i = _sig(_frd_inv(pre[row, k]) + bias[k])
-                    g_f = _sig(_frd_inv(pre[row, H + k]) + bias[H + k])
-                    g_o = _sig(_frd_inv(pre[row, 2 * H + k]) + bias[2 * H + k])
-                    c_bar = _ss(_frd_inv(pre[row, 3 * H + k]) + bias[3 * H + k])
-                    new_c = _frd_div(g_f * c[row, k]) + _frd_div(g_i * c_bar)
-                    magnitude = abs(new_c)
-                    if magnitude > max_cell:
-                        max_cell = magnitude
-                    out_c[row, k] = new_c
-                    out_h[row, k] = _frd_div(g_o * _ss(new_c))
-            return max_cell
-
-        probe = np.zeros((1, 4 * H), dtype=np.float64)
-        step(probe, np.zeros(4 * H), np.zeros((1, H)),
-             np.empty((1, H)), np.empty((1, H)))
-        return step, None
-    except Exception:
-        return None, FALLBACK_JIT_ERROR
-
-
-#: Compiled C steps, one per model shape (compiling is ~100ms; tests
-#: build many engines with identical shapes).  ``None`` caches failure.
-_CC_STEP_CACHE: dict = {}
-
-
 def _render_cc_step(hidden_size: int, scale: int, eps: float) -> str:
     """The C tick chain: same ops, formulated for auto-vectorisation.
 
@@ -606,67 +496,32 @@ double repro_fused_step(const double *restrict pre, const double *restrict bias,
 
 
 def _build_cc_step(hidden_size: int, scale: int, eps: float):
-    """Compile the C tick chain with the system compiler, or ``None``.
+    """The compiled C tick chain as a Python callable, or ``None``.
 
-    The shared object is built once per ``(hidden_size, scale, eps)``
-    into a private temp directory and kept loaded for the process
-    lifetime.  ``-fno-math-errno -fno-trapping-math`` only drop errno
-    stores and FP-status ordering (floor/fabs/copysign never set either)
-    so results stay IEEE-exact; ``-march=native`` is attempted first and
-    dropped if the compiler rejects it.  Any failure — no compiler, a
-    compile error, a load error — returns ``None`` and the caller moves
-    down the ladder.
+    Compiled once per ``(hidden_size, scale)`` and cached by
+    :func:`repro.cbuild.load_c_library`, which pins ``-ffp-contract=off``
+    at every rung.  The C step replicates the fused arithmetic op for op
+    in IEEE float64, so a successful compile is bit-equal by
+    construction — and the build-time self-check probe verifies it on
+    the live weights anyway.  ``None`` when the host cannot build it;
+    the caller then records ``jit_error`` and runs the vectorised NumPy
+    fused path.
     """
-    key = (hidden_size, scale, eps)
-    if key in _CC_STEP_CACHE:
-        return _CC_STEP_CACHE[key]
-    step = None
-    try:
-        import ctypes
-        import shutil
-        import subprocess
-        import tempfile
+    library = load_c_library(_render_cc_step(hidden_size, scale, eps))
+    if library is None:
+        return None
+    raw = library.repro_fused_step
+    raw.restype = ctypes.c_double
+    raw.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_long]
 
-        compiler = shutil.which("cc") or shutil.which("gcc")
-        if compiler is not None:
-            build_dir = tempfile.mkdtemp(prefix="repro-fused-")
-            source = f"{build_dir}/step.c"
-            library = f"{build_dir}/step.so"
-            with open(source, "w") as handle:
-                handle.write(_render_cc_step(hidden_size, scale, eps))
-            base = ["-fPIC", "-shared", "-o", library, source, "-lm"]
-            safe_fast = ["-fno-math-errno", "-fno-trapping-math"]
-            for flags in (
-                ["-O3", "-march=native", *safe_fast],
-                ["-O3", *safe_fast],
-                ["-O2"],
-            ):
-                result = subprocess.run(
-                    [compiler, *flags, *base], capture_output=True, timeout=120
-                )
-                if result.returncode == 0:
-                    break
-            else:
-                result = None
-            if result is not None and result.returncode == 0:
-                raw = ctypes.CDLL(library).repro_fused_step
-                raw.restype = ctypes.c_double
-                raw.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_long]
+    def step(pre, bias, c, out_h, out_c):
+        pre = np.ascontiguousarray(pre)
+        c = np.ascontiguousarray(c)
+        return raw(
+            pre.ctypes.data, bias.ctypes.data, c.ctypes.data,
+            out_h.ctypes.data, out_c.ctypes.data, pre.shape[0],
+        )
 
-                def step(pre, bias, c, out_h, out_c, _raw=raw):
-                    pre = np.ascontiguousarray(pre)
-                    c = np.ascontiguousarray(c)
-                    return _raw(
-                        pre.ctypes.data, bias.ctypes.data, c.ctypes.data,
-                        out_h.ctypes.data, out_c.ctypes.data, pre.shape[0],
-                    )
-
-                probe = np.zeros((1, 4 * hidden_size))
-                step(probe, np.zeros(4 * hidden_size), np.zeros((1, hidden_size)),
-                     np.empty((1, hidden_size)), np.empty((1, hidden_size)))
-    except Exception:
-        step = None
-    _CC_STEP_CACHE[key] = step
     return step
 
 
@@ -767,9 +622,9 @@ class FusedBackend(KernelBackend):
             self.degraded_reason = unavailable.reason
             self.record_fallback(unavailable.reason)
             return
-        if math_impl.jit_reason is not None:
+        if math_impl._jit is None:
             # Degradation of degree only: the NumPy fused path runs.
-            self.record_fallback(math_impl.jit_reason)
+            self.record_fallback(FALLBACK_JIT_ERROR)
         try:
             _self_check(engine, math_impl)
         except AssertionError:
@@ -795,7 +650,7 @@ class FusedBackend(KernelBackend):
 
     @property
     def accel_tier(self) -> str | None:
-        """Which tier compiled the tick: ``numba``/``cc``/``None`` (NumPy)."""
+        """Which tier compiled the tick: ``cc``, or ``None`` (NumPy)."""
         return self._math.accel_tier if self._math is not None else None
 
     def accelerates_inference(self) -> bool:

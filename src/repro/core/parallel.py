@@ -298,6 +298,7 @@ class WorkerPool:
             self._fall_back("start_failure")
             return
         self.mode = "pool"
+        self._warm_workers()
         self._set_worker_gauge()
 
     # ------------------------------------------------------------------
@@ -334,6 +335,31 @@ class WorkerPool:
             [w.queue for w in self._workers],
             self._shm,
         )
+
+    def _warm_workers(self) -> None:
+        """Run one throwaway row on every worker before the pool serves.
+
+        A worker builds its kernel backend (and, for ``fused``, runs the
+        build-time self-check) on its first shard, and each task queue
+        starts its feeder thread on its first put.  Paying both here
+        keeps them out of the first real batch.  The warm-up results and
+        their telemetry snapshots are dropped: nothing is counted or
+        merged.  A worker that dies while warming is reaped on the first
+        real batch like any other dead worker.
+        """
+        row = np.zeros((1, self.config.dimensions.sequence_length),
+                       dtype=np.int64)
+        pending = {}
+        for worker in self._workers:
+            task_id = self._next_task_id
+            self._next_task_id += 1
+            worker.queue.put((task_id, row))
+            pending[task_id] = worker
+        while any(task_id not in self._done and worker.process.is_alive()
+                  for task_id, worker in pending.items()):
+            self._pump()
+        for task_id in pending:
+            self._done.pop(task_id, None)
 
     def _fall_back(self, reason: str) -> None:
         """Degrade to in-process execution; counted, never a crash."""

@@ -25,6 +25,7 @@ free.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 
@@ -38,6 +39,10 @@ MODE_COW = "cow"
 MODE_BLOCK = "block"
 
 _STREAM_MODES = (MODE_ALLOW, MODE_COW, MODE_BLOCK)
+
+#: How many recent :class:`TransferRecord` entries ``SmartSSD.transfers``
+#: keeps; per-route totals are kept exactly however long the drive runs.
+TRANSFER_HISTORY = 256
 
 
 class WriteRefused(PermissionError):
@@ -122,7 +127,12 @@ class SmartSSD:
         self.switch = PcieSwitch(upstream=link or PcieLink(generation=3, lanes=4))
         self.fpga_dram_bytes = fpga_dram_bytes
         self._fpga_dram_used = 0
-        self.transfers: list = []
+        #: The most recent transfers, oldest first (bounded: a drive
+        #: serving fetches for hours must not grow without limit).
+        self.transfers: collections.deque = collections.deque(
+            maxlen=TRANSFER_HISTORY
+        )
+        self._route_bytes = {"p2p": 0, "host": 0, "host_to_fpga": 0}
         #: Optional :class:`repro.telemetry.Telemetry`; set directly or
         #: propagated by ``CSDInferenceEngine.attach_telemetry``.  When
         #: present, transfers and DRAM occupancy feed the
@@ -144,6 +154,8 @@ class SmartSSD:
         self.protection_overhead_seconds = 0.0
 
     def _record_transfer(self, record: TransferRecord) -> None:
+        self.transfers.append(record)
+        self._route_bytes[record.route] += record.num_bytes
         # Guarded here — not at the call sites — so every path that
         # records a transfer is safe with telemetry detached.
         if self.telemetry is None:
@@ -184,7 +196,6 @@ class SmartSSD:
         self._reserve_fpga_dram(num_bytes, "weights")
         seconds = self.switch.upstream.transfer_seconds(num_bytes)
         record = TransferRecord("host_to_fpga", num_bytes, seconds)
-        self.transfers.append(record)
         self._record_transfer(record)
         return seconds
 
@@ -200,7 +211,6 @@ class SmartSSD:
         link_seconds = self.switch.p2p_transfer_seconds(num_bytes)
         seconds = ssd_seconds + link_seconds
         record = TransferRecord("p2p", num_bytes, seconds)
-        self.transfers.append(record)
         self._record_transfer(record)
         return seconds
 
@@ -211,7 +221,6 @@ class SmartSSD:
         link_seconds = self.switch.host_mediated_transfer_seconds(num_bytes)
         seconds = ssd_seconds + link_seconds
         record = TransferRecord("host", num_bytes, seconds)
-        self.transfers.append(record)
         self._record_transfer(record)
         return seconds
 
@@ -225,11 +234,8 @@ class SmartSSD:
         self._update_dram_gauge()
 
     def traffic_summary(self) -> dict:
-        """Total bytes moved per route."""
-        summary = {"p2p": 0, "host": 0, "host_to_fpga": 0}
-        for record in self.transfers:
-            summary[record.route] += record.num_bytes
-        return summary
+        """Total bytes moved per route over the drive's lifetime."""
+        return dict(self._route_bytes)
 
     # ------------------------------------------------------------------
     # Self-protecting write path (verdict-gated integrity enforcement)

@@ -13,18 +13,19 @@ kernel registry in ``core/kernels/backends.py``:
   before.  It is the bit-exactness oracle: every other backend must
   reproduce its loss and every gradient array bit for bit, so
   ``ConvergenceHistory``, golden detector scores, and the generalization
-  benchmark numbers are unchanged no matter which backend trained the model.
-* ``fused`` — the same BPTT arithmetic restructured as one precompiled
-  forward+backward pass per batch over persistent preallocated ``(B, T, H)``
-  buffers.  Per timestep the forward runs one dgemm, one ``np.exp`` over the
-  packed ``(B, 4H)`` pre-activations, and a single fused element-wise kernel
-  (gate select, softsign candidate, cell and hidden update); the backward
-  runs a single fused kernel for the whole element-wise gradient chain and
-  keeps the dgemms in NumPy with operand views identical to the reference.
-  The element-wise kernels compile through the same acceleration ladder as
-  the session backend: numba JIT when importable, else a small C kernel
-  built once per hidden size with the system compiler, else a vectorised
-  NumPy formulation of the same arithmetic.
+  benchmark numbers are unchanged no matter which backend trained the
+  model.  Parity checks select it by name.
+* ``fused`` (the default) — the same BPTT arithmetic restructured as one
+  precompiled forward+backward pass per batch over persistent
+  preallocated ``(B, T, H)`` buffers.  Per timestep the forward runs one
+  dgemm, one ``np.exp`` over the packed ``(B, 4H)`` pre-activations, and a
+  single fused element-wise kernel (gate select, softsign candidate, cell
+  and hidden update); the backward runs a single fused kernel for the
+  whole element-wise gradient chain and keeps the dgemms in NumPy with
+  operand views identical to the reference.
+  Like the session backend, the element-wise kernels run as a small C
+  kernel built once per hidden size with the system compiler, else as a
+  vectorised NumPy formulation of the same arithmetic.
 
 Why the restructuring is bit-exact
 ----------------------------------
@@ -36,10 +37,10 @@ exactly that ``z`` — ``np.exp`` is element-wise and value-deterministic, so
 hoisting it out of the masked formulation cannot change a bit.  Everything
 the compiled kernels fuse is a chain of ``+ - * /`` and ``fabs`` — IEEE-754
 operations with one correctly-rounded answer regardless of how they are
-compiled — with FMA contraction disabled explicitly (``-ffp-contract=off``;
-numba's default ``fastmath=False`` likewise).  ``sigmoid_grad`` on a stored
-pre-activation equals ``s * (1 - s)`` on the stored gate activation, because
-the stored activation *is* ``sigmoid(pre)`` bit for bit.  The dgemms
+compiled — with FMA contraction disabled explicitly
+(``-ffp-contract=off``).  ``sigmoid_grad`` on a stored pre-activation
+equals ``s * (1 - s)`` on the stored gate activation, because the stored
+activation *is* ``sigmoid(pre)`` bit for bit.  The dgemms
 (``x @ W_x``, recurrent ``h @ W_h``, and the four gradient matmuls) keep the
 exact reference operand views and run through the same BLAS, with ``out=``
 targets that NumPy fills with the identical dgemm result.
@@ -53,9 +54,9 @@ formulation, then to the reference path.
 
 Fallback reasons
 ----------------
-``no_numba`` / ``jit_error``
-    numba missing or a tier failed to compile; the next acceleration tier
-    runs instead (C kernel, else vectorised NumPy — still fused).
+``jit_error``
+    the C kernel could not be built, or it failed the self-check; the
+    vectorised NumPy rung runs instead (still fused).
 ``unsupported_activation``
     the model's cell activation is not the softsign deployment cell the
     fused kernels hardcode (e.g. the tanh ablation); reference math.
@@ -70,9 +71,11 @@ See ``docs/performance.md`` ("The training pipeline") and
 from __future__ import annotations
 
 import collections
+import ctypes
 
 import numpy as np
 
+from repro.cbuild import load_c_library
 from repro.nn.losses import binary_cross_entropy_with_logits
 
 #: Metric names (documented in docs/observability.md).
@@ -80,13 +83,12 @@ METRIC_TRAIN_FALLBACK = "repro_train_backend_fallback_total"
 METRIC_TRAIN_BATCHES = "repro_train_batches_total"
 
 #: ``repro_train_backend_fallback_total``'s ``reason`` label values.
-FALLBACK_NO_NUMBA = "no_numba"
 FALLBACK_JIT_ERROR = "jit_error"
 FALLBACK_UNSUPPORTED = "unsupported_activation"
 FALLBACK_SELF_CHECK = "self_check_failed"
 
 #: The default backend of :class:`~repro.nn.trainer.TrainingConfig`.
-DEFAULT_TRAIN_BACKEND = "reference"
+DEFAULT_TRAIN_BACKEND = "fused"
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +152,7 @@ class TrainingKernel:
 
     @property
     def accel_tier(self):
-        """``"numba"``/``"cc"`` when a compiled tier runs, else ``None``."""
+        """``"cc"`` when the compiled C tier runs, else ``None``."""
         return None
 
     def train_batch(self, token_ids: np.ndarray, labels: np.ndarray):
@@ -217,11 +219,12 @@ class FusedTrainingKernel(TrainingKernel):
             self.record_fallback(FALLBACK_UNSUPPORTED)
             self._delegate = True
             return
-        self._steps, jit_reason, self._tier = _build_train_steps(lstm.hidden_size)
-        if jit_reason is not None:
-            # numba was the preferred tier; record why it was skipped even
-            # when the C tier (or the NumPy rung) takes over.
-            self.record_fallback(jit_reason)
+        self._steps = _build_cc_train_steps(lstm.hidden_size)
+        if self._steps is None:
+            # No C tier: a degradation of degree only, the NumPy rung runs.
+            self.record_fallback(FALLBACK_JIT_ERROR)
+        else:
+            self._tier = "cc"
         try:
             self._self_check()
         except AssertionError:
@@ -407,106 +410,8 @@ class FusedTrainingKernel(TrainingKernel):
 
 
 # ----------------------------------------------------------------------
-# Acceleration ladder
+# The compiled C tier
 # ----------------------------------------------------------------------
-
-
-def _build_train_steps(hidden_size: int) -> tuple:
-    """Compile the element-wise step pair through the acceleration ladder.
-
-    Returns ``(steps_or_None, fallback_reason_or_None, tier_or_None)`` where
-    ``steps`` carries ``fwd``/``bwd`` callables and ``tier`` is ``"numba"``
-    or ``"cc"``.  ``None`` steps mean the caller runs the vectorised NumPy
-    formulation of the same arithmetic.
-    """
-    steps, reason = _build_numba_train_steps(hidden_size)
-    if steps is not None:
-        return steps, None, "numba"
-    cc_steps = _build_cc_train_steps(hidden_size)
-    if cc_steps is not None:
-        return cc_steps, reason, "cc"
-    return None, reason, None
-
-
-def _build_numba_train_steps(hidden_size: int) -> tuple:
-    """numba-JIT the scalar step pair; ``(steps_or_None, reason_or_None)``.
-
-    ``fastmath=False`` keeps LLVM from contracting the multiply-add chains
-    into FMAs, so every float op is the correctly-rounded IEEE operation
-    the reference computes.
-    """
-    try:
-        import numba
-    except Exception:
-        return None, FALLBACK_NO_NUMBA
-    try:
-        H = hidden_size
-
-        @numba.njit(cache=False, fastmath=False)
-        def fwd(pre, z, gi, gf, go, cb, pc, cell, hidden, t):
-            n = pre.shape[0]
-            for row in range(n):
-                for k in range(H):
-                    p_i = pre[row, k]
-                    p_f = pre[row, H + k]
-                    p_c = pre[row, 2 * H + k]
-                    p_o = pre[row, 3 * H + k]
-                    z_i = z[row, k]
-                    z_f = z[row, H + k]
-                    z_o = z[row, 3 * H + k]
-                    s_i = 1.0 / (1.0 + z_i) if p_i >= 0.0 else z_i / (1.0 + z_i)
-                    s_f = 1.0 / (1.0 + z_f) if p_f >= 0.0 else z_f / (1.0 + z_f)
-                    s_o = 1.0 / (1.0 + z_o) if p_o >= 0.0 else z_o / (1.0 + z_o)
-                    c_b = p_c / (abs(p_c) + 1.0)
-                    c_new = s_f * cell[row, t, k] + s_i * c_b
-                    gi[row, t, k] = s_i
-                    gf[row, t, k] = s_f
-                    go[row, t, k] = s_o
-                    cb[row, t, k] = c_b
-                    pc[row, t, k] = p_c
-                    cell[row, t + 1, k] = c_new
-                    hidden[row, t + 1, k] = s_o * (c_new / (abs(c_new) + 1.0))
-
-        @numba.njit(cache=False, fastmath=False)
-        def bwd(gi, gf, go, cb, pc, cell, grad_h, grad_c, d_pre, t):
-            n = grad_h.shape[0]
-            for row in range(n):
-                for k in range(H):
-                    c_t = cell[row, t + 1, k]
-                    i_t = gi[row, t, k]
-                    f_t = gf[row, t, k]
-                    o_t = go[row, t, k]
-                    den_c = abs(c_t) + 1.0
-                    gh = grad_h[row, k]
-                    gc = grad_c[row, k] + (gh * o_t) * (1.0 / (den_c * den_c))
-                    g_o = gh * (c_t / den_c)
-                    g_i = gc * cb[row, t, k]
-                    g_cb = gc * i_t
-                    g_f = gc * cell[row, t, k]
-                    d_pre[row, k] = g_i * (i_t * (1.0 - i_t))
-                    d_pre[row, H + k] = g_f * (f_t * (1.0 - f_t))
-                    den_p = abs(pc[row, t, k]) + 1.0
-                    d_pre[row, 2 * H + k] = g_cb * (1.0 / (den_p * den_p))
-                    d_pre[row, 3 * H + k] = g_o * (o_t * (1.0 - o_t))
-                    grad_c[row, k] = gc * f_t
-
-        probe_bt = np.zeros((1, 1, H))
-        probe_state = np.zeros((1, 2, H))
-        fwd(np.zeros((1, 4 * H)), np.ones((1, 4 * H)), probe_bt.copy(),
-            probe_bt.copy(), probe_bt.copy(), probe_bt.copy(), probe_bt.copy(),
-            probe_state.copy(), probe_state.copy(), 0)
-        bwd(probe_bt.copy(), probe_bt.copy(), probe_bt.copy(), probe_bt.copy(),
-            probe_bt.copy(), probe_state.copy(), np.zeros((1, H)),
-            np.zeros((1, H)), np.empty((1, 4 * H)), 0)
-        return _TrainSteps(fwd, bwd), None
-    except Exception:
-        return None, FALLBACK_JIT_ERROR
-
-
-#: Compiled C step pairs, one per hidden size (compiling is ~100ms; the
-#: generalization harness builds many trainers with identical shapes).
-#: ``None`` caches failure.
-_CC_TRAIN_CACHE: dict = {}
 
 
 def _render_cc_train_steps(hidden_size: int) -> str:
@@ -516,9 +421,9 @@ def _render_cc_train_steps(hidden_size: int) -> str:
     the kernels take the base pointers plus ``t`` and handle the row stride
     internally, so the Python loop passes the persistent buffers untouched.
     Everything here is ``+ - * /``/``fabs`` — IEEE-exact however compiled —
-    and the build flags pin ``-ffp-contract=off`` so the two multiply-add
-    chains (cell update, recurrent grad accumulation) cannot be contracted
-    into differently-rounded FMAs.
+    and :mod:`repro.cbuild` pins ``-ffp-contract=off`` so the two
+    multiply-add chains (cell update, recurrent grad accumulation) cannot
+    be contracted into differently-rounded FMAs.
     """
     return f'''
 #include <math.h>
@@ -601,84 +506,36 @@ void repro_train_bwd_step(const double *restrict gi, const double *restrict gf,
 
 
 def _build_cc_train_steps(hidden_size: int):
-    """Compile the C step pair with the system compiler, or ``None``.
+    """The compiled C step pair as ``_TrainSteps``, or ``None``.
 
-    Built once per hidden size into a private temp directory and kept
-    loaded for the process lifetime.  ``-ffp-contract=off`` is mandatory
-    at every rung (see :func:`_render_cc_train_steps`);
-    ``-fno-math-errno -fno-trapping-math`` only drop errno stores and
-    FP-status ordering (``fabs`` sets neither) so results stay IEEE-exact;
-    ``-march=native`` is attempted first and dropped if rejected.  Any
-    failure — no compiler, a compile error, a load error — returns ``None``
-    and the caller falls through to the NumPy rung.
+    Compiled and cached by :func:`repro.cbuild.load_c_library`; ``None``
+    when the host cannot build it, in which case the caller records
+    ``jit_error`` and runs the vectorised NumPy formulation of the same
+    arithmetic.
     """
-    if hidden_size in _CC_TRAIN_CACHE:
-        return _CC_TRAIN_CACHE[hidden_size]
-    steps = None
-    try:
-        import ctypes
-        import shutil
-        import subprocess
-        import tempfile
+    library = load_c_library(_render_cc_train_steps(hidden_size))
+    if library is None:
+        return None
+    raw_fwd = library.repro_train_fwd_step
+    raw_fwd.restype = None
+    raw_fwd.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_long] * 3
+    raw_bwd = library.repro_train_bwd_step
+    raw_bwd.restype = None
+    raw_bwd.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_long] * 3
 
-        compiler = shutil.which("cc") or shutil.which("gcc")
-        if compiler is not None:
-            build_dir = tempfile.mkdtemp(prefix="repro-train-")
-            source = f"{build_dir}/train_steps.c"
-            library = f"{build_dir}/train_steps.so"
-            with open(source, "w") as handle:
-                handle.write(_render_cc_train_steps(hidden_size))
-            base = ["-fPIC", "-shared", "-o", library, source, "-lm"]
-            exact = ["-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math"]
-            for flags in (
-                ["-O3", "-march=native", *exact],
-                ["-O3", *exact],
-                ["-O2", "-ffp-contract=off"],
-            ):
-                result = subprocess.run(
-                    [compiler, *flags, *base], capture_output=True, timeout=120
-                )
-                if result.returncode == 0:
-                    break
-            else:
-                result = None
-            if result is not None and result.returncode == 0:
-                lib = ctypes.CDLL(library)
-                raw_fwd = lib.repro_train_fwd_step
-                raw_fwd.restype = None
-                raw_fwd.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_long] * 3
-                raw_bwd = lib.repro_train_bwd_step
-                raw_bwd.restype = None
-                raw_bwd.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_long] * 3
+    def fwd(pre, z, gi, gf, go, cb, pc, cell, hidden, t):
+        raw_fwd(pre.ctypes.data, z.ctypes.data, gi.ctypes.data,
+                gf.ctypes.data, go.ctypes.data, cb.ctypes.data,
+                pc.ctypes.data, cell.ctypes.data, hidden.ctypes.data,
+                gi.shape[0], gi.shape[1], t)
 
-                def fwd(pre, z, gi, gf, go, cb, pc, cell, hidden, t,
-                        _raw=raw_fwd):
-                    _raw(pre.ctypes.data, z.ctypes.data, gi.ctypes.data,
-                         gf.ctypes.data, go.ctypes.data, cb.ctypes.data,
-                         pc.ctypes.data, cell.ctypes.data, hidden.ctypes.data,
-                         gi.shape[0], gi.shape[1], t)
+    def bwd(gi, gf, go, cb, pc, cell, grad_h, grad_c, d_pre, t):
+        raw_bwd(gi.ctypes.data, gf.ctypes.data, go.ctypes.data,
+                cb.ctypes.data, pc.ctypes.data, cell.ctypes.data,
+                grad_h.ctypes.data, grad_c.ctypes.data,
+                d_pre.ctypes.data, gi.shape[0], gi.shape[1], t)
 
-                def bwd(gi, gf, go, cb, pc, cell, grad_h, grad_c, d_pre, t,
-                        _raw=raw_bwd):
-                    _raw(gi.ctypes.data, gf.ctypes.data, go.ctypes.data,
-                         cb.ctypes.data, pc.ctypes.data, cell.ctypes.data,
-                         grad_h.ctypes.data, grad_c.ctypes.data,
-                         d_pre.ctypes.data, gi.shape[0], gi.shape[1], t)
-
-                H = hidden_size
-                probe_bt = np.zeros((1, 1, H))
-                probe_state = np.zeros((1, 2, H))
-                fwd(np.zeros((1, 4 * H)), np.ones((1, 4 * H)), probe_bt.copy(),
-                    probe_bt.copy(), probe_bt.copy(), probe_bt.copy(),
-                    probe_bt.copy(), probe_state.copy(), probe_state.copy(), 0)
-                bwd(probe_bt.copy(), probe_bt.copy(), probe_bt.copy(),
-                    probe_bt.copy(), probe_bt.copy(), probe_state.copy(),
-                    np.zeros((1, H)), np.zeros((1, H)), np.empty((1, 4 * H)), 0)
-                steps = _TrainSteps(fwd, bwd)
-    except Exception:
-        steps = None
-    _CC_TRAIN_CACHE[hidden_size] = steps
-    return steps
+    return _TrainSteps(fwd, bwd)
 
 
 register_training_backend("reference", ReferenceTrainingKernel)

@@ -8,15 +8,20 @@ guard) fall back gracefully and are *counted*, never silent.
 """
 
 import dataclasses
+import shutil
+import subprocess
+import tempfile
 
 import numpy as np
 import pytest
 
+from repro import cbuild
 from repro.core import sessions as sessions_mod
 from repro.core.config import EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine
 from repro.core.kernels.backends import (
     DEFAULT_BACKEND,
+    FALLBACK_JIT_ERROR,
     FALLBACK_OVERFLOW_GUARD,
     METRIC_FALLBACK,
     METRIC_TICKS,
@@ -35,18 +40,20 @@ _WEIGHTS = HostWeights.from_model(SequenceClassifier(seed=7))
 _ENGINES: dict = {}
 
 
-def engine_for(level, backend=DEFAULT_BACKEND) -> CSDInferenceEngine:
+def build_engine(level, backend=DEFAULT_BACKEND) -> CSDInferenceEngine:
+    config = EngineConfig(
+        dimensions=dataclasses.replace(_WEIGHTS.dimensions, sequence_length=WINDOW),
+        optimization=level,
+        backend=backend,
+    )
+    return CSDInferenceEngine(config, _WEIGHTS)
+
+
+def engine_for(level, backend="reference") -> CSDInferenceEngine:
+    """A shared engine per (level, backend); the oracle unless named."""
     engine = _ENGINES.get((level, backend))
     if engine is None:
-        config = EngineConfig(
-            dimensions=dataclasses.replace(
-                _WEIGHTS.dimensions, sequence_length=WINDOW
-            ),
-            optimization=level,
-            backend=backend,
-        )
-        engine = CSDInferenceEngine(config, _WEIGHTS)
-        _ENGINES[(level, backend)] = engine
+        engine = _ENGINES[(level, backend)] = build_engine(level, backend)
     return engine
 
 
@@ -65,7 +72,7 @@ def manager_verdicts(manager, keys, tokens) -> list:
 class TestRegistry:
     def test_both_backends_registered(self):
         assert set(available_backends()) >= {"reference", "fused"}
-        assert DEFAULT_BACKEND == "reference"
+        assert DEFAULT_BACKEND == "fused"
         assert EngineConfig().backend == DEFAULT_BACKEND
 
     def test_unknown_backend_rejected(self):
@@ -82,7 +89,7 @@ class TestRegistry:
         backend = engine_for(
             OptimizationLevel.FIXED_POINT, backend="fused"
         ).step_backend
-        assert backend.accel_tier in (None, "numba", "cc")
+        assert backend.accel_tier in (None, "cc")
 
 
 class TestInferenceParity:
@@ -98,14 +105,7 @@ class TestInferenceParity:
         """With the compiled step disabled, the vectorised-NumPy fused
         path must still match the reference bit for bit."""
         level = OptimizationLevel.FIXED_POINT
-        config = EngineConfig(
-            dimensions=dataclasses.replace(
-                _WEIGHTS.dimensions, sequence_length=WINDOW
-            ),
-            optimization=level,
-            backend="fused",
-        )
-        engine = CSDInferenceEngine(config, _WEIGHTS)
+        engine = build_engine(level, backend="fused")
         if engine.step_backend._math is not None:
             engine.step_backend._math.disable_jit()
         rng = np.random.default_rng(19)
@@ -234,3 +234,63 @@ class TestDegradation:
             ).value == WINDOW
         finally:
             engine.attach_telemetry(None)
+
+
+_HAS_COMPILER = shutil.which("cc") is not None or shutil.which("gcc") is not None
+compiler_required = pytest.mark.skipif(
+    not _HAS_COMPILER, reason="no system C compiler"
+)
+
+
+class TestCompiledTier:
+    """The C tier shared by the inference and training fused backends."""
+
+    def test_every_rung_disables_fp_contraction(self, monkeypatch):
+        commands = []
+
+        def failing_compiler(argv, **kwargs):
+            commands.append(argv)
+            return subprocess.CompletedProcess(argv, 1)
+
+        monkeypatch.setattr(cbuild, "_LIBRARIES", {})
+        monkeypatch.setattr(cbuild.shutil, "which", lambda name: "/bin/cc")
+        monkeypatch.setattr(cbuild.subprocess, "run", failing_compiler)
+        assert cbuild.load_c_library("int unused;") is None
+        assert len(commands) == len(cbuild.FLAG_LADDER) == 3
+        assert all("-ffp-contract=off" in argv for argv in commands)
+
+    @compiler_required
+    def test_builds_leave_no_directory_behind(self, monkeypatch, tmp_path):
+        from repro.core.kernels.backends import _build_cc_step
+        from repro.nn.kernels import _build_cc_train_steps
+
+        monkeypatch.setattr(cbuild, "_LIBRARIES", {})
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        step = _build_cc_step(4, 10**6, 1e-7)
+        assert _build_cc_train_steps(4) is not None
+        assert list(tmp_path.iterdir()) == []
+        # The loaded library outlives its deleted build directory.
+        out_h, out_c = np.empty((1, 4)), np.empty((1, 4))
+        step(np.zeros((1, 16)), np.zeros(16), np.zeros((1, 4)), out_h, out_c)
+        assert out_h.tolist() == [[0.0] * 4]
+
+    @compiler_required
+    def test_healthy_fused_backend_records_no_fallback(self):
+        backend = build_engine(OptimizationLevel.FIXED_POINT).step_backend
+        assert backend.accel_tier == "cc"
+        assert backend.fallback_reasons == {}
+
+    def test_missing_compiler_is_counted_and_stays_exact(self, monkeypatch):
+        monkeypatch.setattr(cbuild, "_LIBRARIES", {})
+        monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
+        level = OptimizationLevel.FIXED_POINT
+        engine = build_engine(level)
+        backend = engine.step_backend
+        assert backend.name == DEFAULT_BACKEND
+        assert backend.accel_tier is None
+        assert backend.fallback_reasons == {FALLBACK_JIT_ERROR: 1}
+        batch = np.random.default_rng(41).integers(0, VOCAB, size=(5, WINDOW))
+        np.testing.assert_array_equal(
+            engine.infer_batch(batch).probabilities,
+            engine_for(level).infer_batch(batch).probabilities,
+        )

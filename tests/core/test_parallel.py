@@ -96,6 +96,28 @@ def test_telemetry_counters_merge_exactly(model):
     assert run(2) == run(1)
 
 
+@pool_required
+def test_pool_warms_every_worker_before_serving(model):
+    """Construction sends one throwaway row to each worker and waits for
+    it, so no worker builds its backend inside the first real batch; the
+    warm-up leaves no result, counted task or merged metric behind."""
+    engine = make_engine(model)
+    batch = make_batch(12)
+    expected = engine.predict_proba(batch, chunk_size=4)
+    telemetry = Telemetry()
+    pool = WorkerPool(engine.config, engine.weights, 2, telemetry=telemetry)
+    try:
+        assert pool.mode == "pool"
+        assert pool._next_task_id == 2  # one warm-up task per worker
+        assert pool._done == {} and pool._assigned == {}
+        assert [
+            record["name"] for record in telemetry.metrics.snapshot()
+        ] == ["repro_parallel_workers"]
+        assert np.array_equal(pool.predict_proba(batch, chunk_size=4), expected)
+    finally:
+        pool.close()
+
+
 # ----------------------------------------------------------------------
 # Crash recovery
 # ----------------------------------------------------------------------

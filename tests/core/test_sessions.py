@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import EngineConfig, OptimizationLevel
+from repro.core.config import DEFAULT_BACKEND, EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine
 from repro.core.sessions import (
     EVICT_CHECKPOINT_BUDGET,
@@ -41,17 +41,19 @@ _WEIGHTS = HostWeights.from_model(SequenceClassifier(seed=7))
 _ENGINES: dict = {}
 
 
-def engine_for(level: OptimizationLevel) -> CSDInferenceEngine:
-    engine = _ENGINES.get(level)
+def engine_for(level: OptimizationLevel,
+               backend: str = DEFAULT_BACKEND) -> CSDInferenceEngine:
+    engine = _ENGINES.get((level, backend))
     if engine is None:
         config = EngineConfig(
             dimensions=dataclasses.replace(
                 _WEIGHTS.dimensions, sequence_length=WINDOW
             ),
             optimization=level,
+            backend=backend,
         )
         engine = CSDInferenceEngine(config, _WEIGHTS)
-        _ENGINES[level] = engine
+        _ENGINES[(level, backend)] = engine
     return engine
 
 
@@ -64,8 +66,11 @@ def incremental_verdicts(manager: SessionManager, key, tokens) -> list:
     return verdicts
 
 
-def recompute_verdicts(engine, tokens, threshold, stride) -> list:
-    detector = RansomwareDetector(engine, threshold=threshold, stride=stride)
+def recompute_verdicts(level, tokens, threshold, stride) -> list:
+    """Per-window ``infer_sequence`` verdicts on the reference oracle."""
+    detector = RansomwareDetector(
+        engine_for(level, "reference"), threshold=threshold, stride=stride
+    )
     verdicts = []
     for token in tokens:
         verdict = detector.observe(int(token))
@@ -83,10 +88,12 @@ class TestIncrementalParity:
     @settings(max_examples=25, deadline=None)
     def test_bit_exact_with_recompute_at_every_level(self, tokens, stride):
         for level in OptimizationLevel:
-            engine = engine_for(level)
-            manager = SessionManager(engine, SessionConfig(stride=stride))
+            manager = SessionManager(
+                engine_for(level), SessionConfig(stride=stride),
+                backend="reference",
+            )
             got = incremental_verdicts(manager, "s", tokens)
-            want = recompute_verdicts(engine, tokens, 0.5, stride)
+            want = recompute_verdicts(level, tokens, 0.5, stride)
             assert [(v.window_index, v.probability) for v in got] == [
                 (v.window_index, v.probability) for v in want
             ]
@@ -104,12 +111,11 @@ class TestIncrementalParity:
         """The fused hot path emits, for every completed window, exactly
         the ``infer_sequence`` recompute verdict — at every level."""
         for level in OptimizationLevel:
-            engine = engine_for(level)
             manager = SessionManager(
-                engine, SessionConfig(stride=stride), backend="fused"
+                engine_for(level), SessionConfig(stride=stride), backend="fused"
             )
             got = incremental_verdicts(manager, "s", tokens)
-            want = recompute_verdicts(engine, tokens, 0.5, stride)
+            want = recompute_verdicts(level, tokens, 0.5, stride)
             assert [(v.window_index, v.probability) for v in got] == [
                 (v.window_index, v.probability) for v in want
             ]
@@ -119,10 +125,9 @@ class TestIncrementalParity:
         rng = np.random.default_rng(3)
         tokens = rng.integers(0, VOCAB, size=3 * WINDOW)
         for level in OptimizationLevel:
-            engine = engine_for(level)
-            manager = SessionManager(engine, SessionConfig(stride=1))
+            manager = SessionManager(engine_for(level), SessionConfig(stride=1))
             got = incremental_verdicts(manager, "s", tokens)
-            want = recompute_verdicts(engine, tokens, 0.5, 1)
+            want = recompute_verdicts(level, tokens, 0.5, 1)
             assert len(got) == len(tokens) - WINDOW + 1
             assert [(v.window_index, v.probability) for v in got] == [
                 (v.window_index, v.probability) for v in want

@@ -232,3 +232,19 @@ class TestTransferRecordingRegression:
         device.host_load_weights(1024)
         names = {entry["name"] for entry in device.telemetry.metrics.snapshot()}
         assert "repro_storage_bytes_total" in names
+
+    def test_transfer_log_is_bounded_and_totals_stay_exact(self, device):
+        from repro.hw.smartssd import TRANSFER_HISTORY
+
+        device.ssd.write_object("obj", 3000)
+        fetches = 3 * TRANSFER_HISTORY
+        for _ in range(fetches):
+            device.p2p_fetch("obj")
+            device.release_fpga_dram(3000)
+        device.host_load_weights(1024)
+        assert len(device.transfers) == TRANSFER_HISTORY
+        assert device.transfers[-1].route == "host_to_fpga"
+        assert device.transfers[-2].num_bytes == 3000
+        assert device.traffic_summary() == {
+            "p2p": fetches * 3000, "host": 0, "host_to_fpga": 1024,
+        }

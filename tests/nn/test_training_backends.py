@@ -3,7 +3,7 @@
 The fused backend's whole value proposition is "faster and *identical*":
 every loss, every gradient array, and every full training trajectory must
 match the reference path bit for bit, on every shape hypothesis can dream
-up.  The degradation ladder (numba -> C -> NumPy -> reference) must be
+up.  The degradation ladder (C -> NumPy -> reference) must be
 observable through ``repro_train_backend_fallback_total`` and never
 change a single number.
 """
@@ -58,7 +58,7 @@ class TestRegistry:
     def test_builtin_backends_registered(self):
         assert "reference" in available_training_backends()
         assert "fused" in available_training_backends()
-        assert DEFAULT_TRAIN_BACKEND == "reference"
+        assert DEFAULT_TRAIN_BACKEND == "fused"
 
     def test_resolve_returns_bound_kernels(self):
         model = _model()
@@ -151,7 +151,7 @@ class TestFusedParity:
         """With every compiled tier disabled, the fused NumPy formulation
         still matches the reference bitwise (and stays on the fused path)."""
         monkeypatch.setattr(
-            kernels, "_build_train_steps", lambda hidden: (None, None, None)
+            kernels, "_build_cc_train_steps", lambda hidden: None
         )
         model = _model(seed=11)
         fused = resolve_training_backend("fused", model)
@@ -197,9 +197,8 @@ class TestDegradation:
             arrays[8].fill(0.0)  # d_pre: defined but wrong
 
         monkeypatch.setattr(
-            kernels, "_build_train_steps",
-            lambda hidden: (kernels._TrainSteps(fwd=broken_fwd, bwd=inert_bwd),
-                            None, "cc"),
+            kernels, "_build_cc_train_steps",
+            lambda hidden: kernels._TrainSteps(fwd=broken_fwd, bwd=inert_bwd),
         )
         fused = resolve_training_backend("fused", _model(seed=7))
         assert fused.accel_tier is None
@@ -209,6 +208,21 @@ class TestDegradation:
         _assert_same_result(
             fused.train_batch(token_ids, labels),
             _model(seed=7).train_batch(token_ids, labels),
+        )
+
+    def test_missing_compiler_runs_numpy_rung(self, monkeypatch):
+        from repro import cbuild
+
+        monkeypatch.setattr(cbuild, "_LIBRARIES", {})
+        monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
+        fused = resolve_training_backend("fused", _model(seed=9))
+        assert fused.accel_tier is None and not fused._delegate
+        assert fused.fallback_reasons == {kernels.FALLBACK_JIT_ERROR: 1}
+        rng = np.random.default_rng(9)
+        token_ids, labels = _batch(rng, 4, 5)
+        _assert_same_result(
+            fused.train_batch(token_ids, labels),
+            _model(seed=9).train_batch(token_ids, labels),
         )
 
     def test_batch_counter_by_backend(self):

@@ -91,6 +91,7 @@ TINY_CONFIG = GeneralizationConfig(
     seed=7,
     epochs=2,
     optimizations=(OptimizationLevel.VANILLA, OptimizationLevel.FIXED_POINT),
+    train_backend="reference",  # the oracle the fused parity test compares to
 )
 
 

@@ -46,6 +46,24 @@ class TestParser:
             assert command in text
 
 
+    def test_backend_defaults_follow_the_library(self, monkeypatch, capsys):
+        from repro import cli
+        from repro.core.config import DEFAULT_BACKEND
+        from repro.nn.kernels import DEFAULT_TRAIN_BACKEND
+
+        built = []
+        real = cli.CSDInferenceEngine.build_unloaded
+        monkeypatch.setattr(
+            cli.CSDInferenceEngine, "build_unloaded",
+            lambda config: built.append(config.backend) or real(config),
+        )
+        assert main(["report"]) == 0
+        assert main(["--backend", "reference", "report"]) == 0
+        assert built == [DEFAULT_BACKEND, "reference"]
+        args = build_parser().parse_args(["train", "in.csv", "out.txt"])
+        assert args.train_backend == DEFAULT_TRAIN_BACKEND
+
+
 class TestDatasetCommand:
     def test_writes_loadable_csv(self, csv_path):
         dataset = load_csv(csv_path)
