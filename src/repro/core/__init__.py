@@ -41,7 +41,6 @@ from repro.core.sessions import (
     SessionConfig,
     SessionManager,
     SessionVerdict,
-    StreamSession,
 )
 from repro.core.throughput import ThroughputReport, throughput_report
 from repro.core.mixed_precision import (
@@ -93,7 +92,6 @@ __all__ = [
     "SessionServingReport",
     "SessionVerdict",
     "ShardRouter",
-    "StreamSession",
     "StreamVerdictRecord",
     "StreamingReport",
     "ThroughputReport",

@@ -15,8 +15,7 @@ that next tier up.  It layers a deterministic control plane over
   randomized ``hash``) onto a fixed shard ring (:class:`ShardRouter`);
   each shard has one primary drive and migrates *as a unit*, so routing
   state is O(shards), not O(streams) — the property that makes a
-  million concurrent :class:`~repro.core.sessions.StreamSession`\\ s
-  tractable.
+  million concurrent session streams tractable.
 * **QoS classes + admission control** — tenants declare
   :class:`QosClass` (priority, stream cap); new streams beyond a
   class's cap are denied, and when a drive's per-round token capacity
@@ -497,11 +496,11 @@ class ControlPlane:
         return not self._upgrade_pending and self._upgrade_in_flight is None
 
     def concurrent_sessions(self) -> int:
-        """Live StreamSessions fleet-wide (resident + checkpointed).
+        """Live session streams fleet-wide (resident + checkpointed).
 
         Counts in-service drives only: a drained/failed drive's manager
-        may still hold stale copies (the drain path *copies* checkpoints
-        out, like failover), but those are no longer serving anything.
+        keeps any session it could not hand off (no route), but those
+        are no longer serving anything.
         """
         total = 0
         for device in self.server.devices:

@@ -12,15 +12,14 @@ module gives the engine pluggable *execution backends* for that hot path:
 * ``fused`` (the default) — one precompiled step per tick.  At
   ``FIXED_POINT`` the embedding lookup, stacked gate matmul, rescale,
   PLAN sigmoid/softsign activations, cell/hidden update, and FC head all
-  execute as a single fused pass over ``(N, H)`` float64 state arrays
-  held in a persistent slot arena — no per-slot Python, no row
-  stacking, no int64 temporaries.  The element-wise chain runs as a
+  execute as a single fused pass over ``(N, H)`` float64 state rows
+  gathered from the session arena — no per-kernel dispatch, no int64
+  temporaries.  The element-wise chain runs as a
   small C kernel built once per model shape with the system compiler,
   else as a vectorised NumPy formulation of the same arithmetic (still
   fused, still bit-exact).  The float levels keep the reference kernels
   for the math (their ``np.sum`` pairwise reduction is the
-  batch-stability contract) but still benefit from the fused session
-  stepper's persistent arena and roster caching.
+  batch-stability contract).
 
 Why float64 carriers are exact here
 -----------------------------------
@@ -161,8 +160,8 @@ class KernelBackend:
         """Probabilities for an ``(N, T, E)`` embedded batch (fused only)."""
         raise NotImplementedError(f"{self.name} does not accelerate inference")
 
-    def session_stepper(self, manager):
-        """Build this backend's per-tick stepper for ``manager``."""
+    def session_stepper(self):
+        """The math a :class:`~repro.core.sessions.SessionManager` steps its arena with."""
         raise NotImplementedError
 
 
@@ -590,22 +589,21 @@ class ReferenceBackend(KernelBackend):
 
     name = "reference"
 
-    def session_stepper(self, manager):
+    def session_stepper(self):
         from repro.core.sessions import ReferenceStepper
 
-        return ReferenceStepper(manager)
+        return ReferenceStepper(self.engine)
 
 
 class FusedBackend(KernelBackend):
-    """One precompiled step per tick over a persistent slot arena.
+    """One precompiled step per tick over the session arena's rows.
 
     At ``FIXED_POINT`` the math is the fused float64 pass (bit-exact by
     static bounds + build-time self-check + runtime cell guard).  At the
     float levels the reference kernels keep doing the math — their
-    pairwise-sum reduction *is* the batch-stability contract — while the
-    fused session stepper still eliminates the per-tick Python slot
-    bookkeeping.  Any exactness obstacle degrades to reference behaviour
-    in-process and is counted in ``repro_backend_fallback_total``.
+    pairwise-sum reduction *is* the batch-stability contract.  Any
+    exactness obstacle degrades to reference behaviour in-process and is
+    counted in ``repro_backend_fallback_total``.
     """
 
     name = "fused"
@@ -615,7 +613,7 @@ class FusedBackend(KernelBackend):
         self._math: _FusedFixedMath | None = None
         self.degraded_reason: str | None = None
         if not engine.config.optimization.uses_fixed_point:
-            return  # float levels: fused stepper, reference math
+            return  # float levels: reference math
         try:
             math_impl = _FusedFixedMath(engine)
         except FusedUnavailable as unavailable:
@@ -671,13 +669,13 @@ class FusedBackend(KernelBackend):
             h, c = math_impl.step_rows(h, c, embedded[:, step, :])
         return math_impl.classify_rows(h)
 
-    def session_stepper(self, manager):
+    def session_stepper(self):
         from repro.core.sessions import FusedStepper, ReferenceStepper
 
-        if self.engine.config.optimization.uses_fixed_point and self._math is None:
-            # Degraded at build: behave as reference end to end.
-            return ReferenceStepper(manager)
-        return FusedStepper(manager, self)
+        if self._math is None:
+            # Float levels, or degraded at build: the reference math.
+            return ReferenceStepper(self.engine)
+        return FusedStepper(self.engine, self._math)
 
 
 register_backend(ReferenceBackend.name, ReferenceBackend)

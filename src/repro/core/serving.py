@@ -891,9 +891,9 @@ class FleetServer:
                 streams[stream] = remaining
             else:
                 del streams[stream]
-        rows_before = device.sessions.stats()["slot_steps"]
+        rows_before = device.sessions.slot_steps
         verdicts = device.sessions.step(tick_tokens)
-        rows = device.sessions.stats()["slot_steps"] - rows_before
+        rows = device.sessions.slot_steps - rows_before
         self._tick_counter += 1
         tick_id = self._tick_counter
         device.busy = True
@@ -959,8 +959,9 @@ class FleetServer:
         (the step runs at launch), so its verdicts are delivered rather
         than dropped — the per-stream verdict sequence is invariant
         under failures; only timing shifts.  Every session the device
-        held (resident or checkpointed) migrates as a checkpoint to the
-        stream's re-routed device, along with the buffered tokens.
+        held (resident or checkpointed) moves as a checkpoint to the
+        stream's re-routed device (``release``: the dead device keeps no
+        copy), along with the buffered tokens.
         """
         if device.current_tick is not None:
             device.busy_us += self._sim.now - device.batch_start_us
@@ -974,9 +975,7 @@ class FleetServer:
             target = self._route(key)
             if target is None or target.sessions is None:
                 continue
-            target.sessions.import_checkpoint(
-                device.sessions.export_checkpoint(key)
-            )
+            target.sessions.import_checkpoint(device.sessions.release(key))
             migrated += 1
         self._migrated_sessions += migrated
         self._log("sessions_migrated", device=device.index, count=migrated)
@@ -1151,7 +1150,7 @@ class FleetServer:
                         keep.append(entry)
                 device.token_buffer = keep
                 device.buffer_streams.pop(stream, None)
-            if device.sessions is not None and stream in device.sessions.known_keys():
+            if device.sessions is not None and stream in device.sessions:
                 device.sessions.close(stream)
         self._log("stream_killed", stream=stream)
 
@@ -1189,7 +1188,9 @@ class FleetServer:
         device = self.devices[index]
         if device.dead:
             return
-        if device.sessions is not None and device.sessions.known_keys():
+        if device.sessions is not None and (
+            device.sessions.resident_count or device.sessions.checkpointed_count
+        ):
             raise RuntimeError(
                 "deactivate_device requires an empty device; use drain_device"
             )

@@ -5,32 +5,37 @@ I/O — a stream of API calls per process, classified over overlapping
 sliding windows.  Re-running :meth:`~repro.core.engine.CSDInferenceEngine.infer_sequence`
 over the whole window at every stride gives O(window) recompute *bursts*
 per verdict and no way to batch across streams.  This module is the
-online-serving answer:
+online-serving answer: :class:`SessionManager` carries the LSTM
+``(h, C)`` state of every open stride window of every stream **per
+token**, so each arriving token advances every open window by a single
+step, and it steps many streams per tick through one batched call.
 
-* :class:`StreamSession` carries the LSTM ``(h, C)`` state **per token**,
-  with a rotating ring of partial window states — one per overlapping
-  stride window — so each arriving token advances every open window by a
-  single step and the per-token cost is smooth instead of bursty.
-* :class:`SessionManager` steps *many* sessions per tick through one
-  stacked batched gate matmul, so kernel-invocation overhead amortises
-  across all streams and all ring slots; it enforces a memory budget via
-  LRU/idle eviction with checkpoint/restore of evicted session state
-  (checkpoint bytes are budgeted too, see ``checkpoint_budget_bytes``),
-  and emits a verdict the moment a window completes (optionally
-  early-exiting flagged streams).
+All per-stream state lives in one struct-of-arrays arena per manager
+(one row per stream; see ``docs/streaming.md``):
 
-How each tick executes is delegated to the engine's **kernel backend**
-(:mod:`repro.core.kernels.backends`): the ``reference`` backend invokes
-the NumPy kernels exactly as this module always has, while the ``fused``
-backend keeps all slot state in a persistent preallocated arena, caches
-the row roster between structural changes (window opens/closes,
-evictions), and — at ``FIXED_POINT`` — runs the whole step as one fused
-pass.  Every backend is **bit-exact** with ``infer_sequence`` on the
+* columns ``calls_seen``, ``flagged``, ``windows_classified`` and
+  ``last_tick``;
+* ``h``/``c`` blocks of shape ``(rows, ring_capacity, H)``.  Window
+  starts are the multiples of ``stride``, so which windows are open, and
+  how full each is (``calls_seen - start``), follows from ``calls_seen``
+  alone; window ``start`` lives in ring position
+  ``(start // stride) % ring_capacity``.
+
+A tick is a few vectorised gathers, one math call and one scatter.  The
+manager keeps two tiers over the same rows: **resident** streams (LRU
+order, bounded by the memory budget) and the **checkpoint store** (the
+cold tier a real CSD would spill to, FIFO order, bounded by
+``checkpoint_budget_bytes``).  Eviction and restore move a stream's row
+between the tiers without copying its state.
+
+The math is the engine's **kernel backend**
+(:mod:`repro.core.kernels.backends`): :class:`ReferenceStepper` runs the
+per-kernel NumPy pipeline (the oracle), :class:`FusedStepper` the fused
+fixed-point step.  Both are **bit-exact** with ``infer_sequence`` on the
 same window at every :class:`~repro.core.config.OptimizationLevel`: a
-window stepped token by token inside an arbitrary batch of other
-sessions produces the identical probability to a fresh full-window
-recompute.  See ``docs/streaming.md`` for the lifecycle and semantics
-and ``docs/performance.md`` for the backend registry.
+window stepped token by token inside an arbitrary batch of other streams
+produces the identical probability to a fresh full-window recompute.
+See ``docs/performance.md`` for the backend registry.
 """
 
 from __future__ import annotations
@@ -52,8 +57,8 @@ from repro.core.kernels.base import KernelTiming
 from repro.hw.clock import ClockDomain
 from repro.hw.dataflow import StageTiming, schedule
 
-#: Fixed per-session bookkeeping estimate (Python objects, dict slots)
-#: on top of the ring's state arrays; used by the memory budget.
+#: Fixed per-session bookkeeping estimate (index entries, columns) on
+#: top of the ring's state arrays; used by the memory budget.
 SESSION_OVERHEAD_BYTES = 256
 
 #: Eviction reasons (the ``reason`` label of
@@ -63,6 +68,8 @@ EVICT_IDLE = "idle"
 EVICT_CLOSED = "closed"
 EVICT_MIGRATED = "migrated"
 EVICT_CHECKPOINT_BUDGET = "checkpoint_budget"
+
+_NO_PROBABILITIES = np.zeros(0, dtype=np.float64)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,16 +147,17 @@ class SessionVerdict:
 
 @dataclasses.dataclass(frozen=True)
 class SessionCheckpoint:
-    """The complete restorable state of one evicted session.
+    """The complete restorable state of one session, for migration.
 
-    Slots are ``(start, filled, hidden, cell)`` tuples holding *copies*
-    of the ring arrays, so a checkpoint can never alias live state.
-    Restoring a checkpoint and continuing the stream produces verdicts
-    bit-identical to a session that was never evicted (asserted by
-    ``tests/core/test_sessions.py``).  Checkpoints are backend-neutral:
-    state is stored in the engine's external dtype (int64 fixed-point,
-    float64 otherwise), so a checkpoint exported from a ``fused``
-    manager restores into a ``reference`` one and vice versa.
+    The backend-neutral hand-off format of :meth:`SessionManager.export_checkpoint`,
+    :meth:`~SessionManager.import_checkpoint` and :meth:`~SessionManager.release`.
+    Slots are ``(start, filled, hidden, cell)`` tuples, oldest window
+    first, holding *copies* of the arena rows, so a checkpoint can never
+    alias live state.  State is stored in the engine's external dtype
+    (int64 fixed-point, float64 otherwise), so a checkpoint exported from
+    a ``fused`` manager restores into a ``reference`` one and vice versa,
+    and the stream continues bit-identically (asserted by
+    ``tests/core/test_sessions.py``).
     """
 
     key: object
@@ -168,505 +176,63 @@ class SessionCheckpoint:
         return SESSION_OVERHEAD_BYTES + state
 
 
-class _WindowSlot:
-    """One partial window: its start index, fill count, and LSTM state.
-
-    ``hidden``/``cell`` are either owned arrays (plain store) or views
-    into the backend's slot arena (``col`` is then the arena row).
-    """
-
-    __slots__ = ("start", "filled", "hidden", "cell", "col")
-
-    def __init__(self, start: int, hidden: np.ndarray, cell: np.ndarray,
-                 filled: int = 0, col: int | None = None):
-        self.start = start
-        self.filled = filled
-        self.hidden = hidden
-        self.cell = cell
-        self.col = col
-
-
-class _PlainSlotStore:
-    """Per-slot owned arrays in the engine's external dtype (reference)."""
-
-    def __init__(self, hidden_size: int, dtype):
-        self.hidden_size = hidden_size
-        self.dtype = dtype
-
-    def new_slot(self, start: int) -> _WindowSlot:
-        return _WindowSlot(
-            start,
-            np.zeros(self.hidden_size, dtype=self.dtype),
-            np.zeros(self.hidden_size, dtype=self.dtype),
-        )
-
-    def adopt_slots(self, entries) -> list:
-        return [
-            _WindowSlot(start, np.array(hidden, dtype=self.dtype),
-                        np.array(cell, dtype=self.dtype), filled=filled)
-            for start, filled, hidden, cell in entries
-        ]
-
-    def release_slot(self, slot: _WindowSlot) -> None:
-        pass
-
-
-class _ArenaSlotStore:
-    """Slot state packed into persistent ``(capacity, H)`` float64 arrays.
-
-    Slots hold *views* into arena rows, so checkpoint/export code reads
-    them exactly like owned arrays; the fused stepper gathers/scatters
-    whole row batches by arena index instead of stacking Python lists.
-    When ``hidden_limit`` is set (fixed-point), values outside the
-    float64 exactness envelope are refused at write time with
-    :class:`~repro.core.kernels.backends.FusedOverflow` so the manager
-    can degrade instead of silently losing precision.
-    """
-
-    def __init__(self, hidden_size: int, dtype, hidden_limit: float | None,
-                 cell_limit: float | None, capacity: int = 64):
-        self.hidden_size = hidden_size
-        self.dtype = dtype  # external/checkpoint dtype, not the arena's
-        self.hidden_limit = hidden_limit
-        self.cell_limit = cell_limit
-        self.h = np.zeros((capacity, hidden_size), dtype=np.float64)
-        self.c = np.zeros((capacity, hidden_size), dtype=np.float64)
-        self._free = list(range(capacity - 1, -1, -1))
-        self.grow_hook = None  # rebinds live slot views after a resize
-
-    def _alloc(self) -> int:
-        if not self._free:
-            self._grow()
-        return self._free.pop()
-
-    def _grow(self) -> None:
-        capacity = self.h.shape[0]
-        new_h = np.zeros((capacity * 2, self.hidden_size), dtype=np.float64)
-        new_c = np.zeros_like(new_h)
-        new_h[:capacity] = self.h
-        new_c[:capacity] = self.c
-        self.h, self.c = new_h, new_c
-        self._free.extend(range(capacity * 2 - 1, capacity - 1, -1))
-        if self.grow_hook is not None:
-            self.grow_hook()
-
-    def new_slot(self, start: int) -> _WindowSlot:
-        col = self._alloc()
-        self.h[col] = 0.0
-        self.c[col] = 0.0
-        return _WindowSlot(start, self.h[col], self.c[col], col=col)
-
-    def adopt_slots(self, entries) -> list:
-        adopted: list = []
-        try:
-            for start, filled, hidden, cell in entries:
-                h = np.asarray(hidden, dtype=np.float64)
-                c = np.asarray(cell, dtype=np.float64)
-                if self.hidden_limit is not None and (
-                    float(np.max(np.abs(h), initial=0.0)) > self.hidden_limit
-                    or float(np.max(np.abs(c), initial=0.0)) > self.cell_limit
-                ):
-                    raise FusedOverflow
-                col = self._alloc()
-                self.h[col] = h
-                self.c[col] = c
-                adopted.append(
-                    _WindowSlot(start, self.h[col], self.c[col],
-                                filled=filled, col=col)
-                )
-        except FusedOverflow:
-            for slot in adopted:
-                self.release_slot(slot)
-            raise
-        return adopted
-
-    def release_slot(self, slot: _WindowSlot) -> None:
-        if slot.col is not None:
-            self._free.append(slot.col)
-            slot.col = None
-
-
-class StreamSession:
-    """Incremental per-stream detection state.
-
-    Holds a rotating ring of :class:`_WindowSlot` partial windows.  A new
-    slot opens whenever ``calls_seen % stride == 0`` (the same window
-    positions the recompute detector classifies); every arriving token
-    advances all open slots by one LSTM step; a slot whose fill count
-    reaches the window length is classified and closed.  At most
-    ``ceil(window_length / stride)`` slots are ever open, which bounds
-    the session's state to a fixed number of ``(h, C)`` vector pairs.
-
-    Slot state lives in the manager's backend store (owned arrays for
-    ``reference``, arena views for ``fused``).  Sessions are driven by a
-    :class:`SessionManager`; they are not stepped directly.
-    """
-
-    __slots__ = ("key", "calls_seen", "flagged", "windows_classified",
-                 "slots", "last_used_tick", "_store")
-
-    def __init__(self, key, store):
-        self.key = key
-        self.calls_seen = 0
-        self.flagged = False
-        self.windows_classified = 0
-        self.slots: list = []
-        self.last_used_tick = 0
-        self._store = store
-
-    def open_slot(self) -> _WindowSlot:
-        """Open a zero-state partial window starting at ``calls_seen``."""
-        slot = self._store.new_slot(self.calls_seen)
-        self.slots.append(slot)
-        return slot
-
-    def close_slot(self, slot: _WindowSlot) -> None:
-        self.slots.remove(slot)
-        self._store.release_slot(slot)
-
-    def release_slots(self) -> None:
-        """Return all slot storage to the store (eviction/close path)."""
-        for slot in self.slots:
-            self._store.release_slot(slot)
-        self.slots = []
-
-    def rebind_store(self, store) -> None:
-        """Move this session's slot state into another store (degrade path)."""
-        old_store = self._store
-        for slot in self.slots:
-            hidden = np.array(slot.hidden, dtype=store.dtype)
-            cell = np.array(slot.cell, dtype=store.dtype)
-            old_store.release_slot(slot)
-            slot.hidden = hidden
-            slot.cell = cell
-        self._store = store
-
-    def checkpoint(self) -> SessionCheckpoint:
-        """Snapshot the full session state into an alias-free checkpoint."""
-        dtype = self._store.dtype
-        return SessionCheckpoint(
-            key=self.key,
-            calls_seen=self.calls_seen,
-            flagged=self.flagged,
-            windows_classified=self.windows_classified,
-            slots=tuple(
-                (slot.start, slot.filled,
-                 np.array(slot.hidden, dtype=dtype),
-                 np.array(slot.cell, dtype=dtype))
-                for slot in self.slots
-            ),
-        )
-
-    @classmethod
-    def from_checkpoint(cls, checkpoint: SessionCheckpoint,
-                        store) -> "StreamSession":
-        session = cls(checkpoint.key, store)
-        session.calls_seen = checkpoint.calls_seen
-        session.flagged = checkpoint.flagged
-        session.windows_classified = checkpoint.windows_classified
-        session.slots = store.adopt_slots(checkpoint.slots)
-        return session
-
-
-def _open_due_slot(session: StreamSession, stride: int) -> None:
-    """Open this tick's window unless an overflow retry already did.
-
-    A fused tick that trips the overflow guard is re-run on the
-    reference path *after* its slot opens; the retry must not open a
-    duplicate.  A freshly-opened slot is recognisable as the last slot
-    with ``start == calls_seen`` (older slots always have smaller
-    starts).
-    """
-    if session.calls_seen % stride == 0 and (
-        not session.slots or session.slots[-1].start != session.calls_seen
-    ):
-        session.open_slot()
-
-
 class ReferenceStepper:
-    """The shipped per-tick mechanics: Python row lists + NumPy kernels.
+    """The oracle math: the engine's per-kernel NumPy pipeline.
 
-    This is the oracle the fused stepper is measured against — its
-    behaviour (iteration order, kernel call sequence, rounding) is the
-    bit-exactness baseline and must not drift.
+    Its kernel call sequence (embed, stacked gates, hidden-state step,
+    FC head on the completed rows) and rounding are the bit-exactness
+    baseline every other stepper is measured against; they must not
+    drift.
     """
 
-    name = "reference"
+    def __init__(self, engine):
+        self.engine = engine
 
-    def __init__(self, manager: "SessionManager"):
-        self.manager = manager
-        manager._store = _PlainSlotStore(manager._hidden_size, manager._dtype)
+    def step_rows(self, h: np.ndarray, c: np.ndarray, tokens: np.ndarray,
+                  done: np.ndarray) -> tuple:
+        """One LSTM step over ``(n, H)`` rows; classify rows ``done``.
 
-    def materialize(self) -> None:
-        pass
-
-    def after_tick(self, stepped, completed: bool) -> None:
-        pass
-
-    def step_rows(self, stepped) -> tuple:
-        manager = self.manager
-        stride = manager.config.stride
-        row_sessions: list = []
-        row_slots: list = []
-        h_rows: list = []
-        c_rows: list = []
-        x_tokens: list = []
-        for session, token in stepped:
-            _open_due_slot(session, stride)
-            for slot in session.slots:
-                row_sessions.append(session)
-                row_slots.append(slot)
-                h_rows.append(slot.hidden)
-                c_rows.append(slot.cell)
-                x_tokens.append(token)
-            session.calls_seen += 1
-
-        completions: list = []
-        if row_slots:
-            engine = manager.engine
-            embedded = engine.preprocess.run_batch(
-                np.asarray(x_tokens, dtype=np.int64)
-            )
-            gate_outputs = engine.gates.run_batch(np.stack(h_rows), embedded)
-            hidden, cell = engine.hidden_state.step_batch(
-                gate_outputs, np.stack(c_rows)
-            )
-            completed: list = []
-            for index, slot in enumerate(row_slots):
-                slot.hidden[:] = hidden[index]
-                slot.cell[:] = cell[index]
-                slot.filled += 1
-                if slot.filled == manager.window_length:
-                    completed.append(index)
-            if completed:
-                probabilities = engine.hidden_state.classify_batch(
-                    hidden[np.asarray(completed, dtype=np.intp)]
-                )
-                completions = [
-                    (row_sessions[index], row_slots[index], float(probability))
-                    for probability, index in zip(probabilities, completed)
-                ]
-        return len(row_slots), completions
-
-
-class _Roster:
-    """Cached row structure reused across ticks with no structural change."""
-
-    __slots__ = ("sessions", "row_sessions", "row_slots", "cols", "counts",
-                 "fast_left")
-
-    def __init__(self, sessions, row_sessions, row_slots, cols, counts,
-                 fast_left):
-        self.sessions = sessions
-        self.row_sessions = row_sessions
-        self.row_slots = row_slots
-        self.cols = cols
-        self.counts = counts
-        self.fast_left = fast_left
+        Returns ``(new_h, new_c, probabilities)``, one probability per
+        index in ``done``.
+        """
+        engine = self.engine
+        embedded = engine.preprocess.run_batch(tokens)
+        gate_outputs = engine.gates.run_batch(h, embedded)
+        hidden, cell = engine.hidden_state.step_batch(gate_outputs, c)
+        if not done.size:
+            return hidden, cell, _NO_PROBABILITIES
+        return hidden, cell, engine.hidden_state.classify_batch(hidden[done])
 
 
 class FusedStepper:
-    """Arena-backed stepping with roster caching (the ``fused`` backend).
+    """The fused fixed-point step (the ``fused`` backend's math).
 
-    Two tick shapes:
-
-    * **slow** — structural work due (a window opens or completes, or
-      the stepped set changed): enumerate slots in Python like the
-      reference path, but gather/scatter state by arena index and rebuild
-      the roster cache.
-    * **fast** — the cached roster still describes this tick exactly: no
-      Python per-slot work at all; one embedding gather, one fused (or
-      batched-kernel) step, one scatter.  ``slot.filled`` bookkeeping is
-      deferred (``_pending``) and folded in by :meth:`materialize`
-      before anything outside the tick reads it.
-
-    How many fast ticks a roster is good for is computed at build time
-    from the stride phase of every stepped session and the fill count of
-    every open slot, so correctness never depends on re-checking them
-    per tick.
+    Arena rows are int64; the fused pass carries them as exact float64
+    integers.  Raises :class:`~repro.core.kernels.backends.FusedOverflow`
+    (inputs untouched) when an input row lies outside the exactness
+    envelope (an imported checkpoint can carry any state) or a new cell
+    crosses the guard; the manager then swaps in :class:`ReferenceStepper`
+    and re-runs the tick on the same arena rows.
     """
 
-    name = "fused"
+    def __init__(self, engine, fused_math):
+        self.engine = engine
+        self.math = fused_math
 
-    def __init__(self, manager: "SessionManager", backend):
-        self.manager = manager
-        self.backend = backend
-        self.math = backend.fused_math  # None on the float levels
-        if self.math is not None:
-            hidden_limit = float(self.math.scale)
-            cell_limit = self.math.cell_limit
-        else:
-            hidden_limit = cell_limit = None
-        store = _ArenaSlotStore(
-            manager._hidden_size, manager._dtype, hidden_limit, cell_limit
+    def step_rows(self, h: np.ndarray, c: np.ndarray, tokens: np.ndarray,
+                  done: np.ndarray) -> tuple:
+        """Same contract as :meth:`ReferenceStepper.step_rows`."""
+        fused = self.math
+        if (np.abs(h).max() > fused.fscale
+                or np.abs(c).max() > fused.cell_limit):
+            raise FusedOverflow
+        embedded = self.engine.preprocess.run_batch(tokens)
+        new_h, new_c = fused.step_rows(
+            h.astype(np.float64), c.astype(np.float64), embedded
         )
-        store.grow_hook = self._rebind_views
-        manager._store = store
-        self.store = store
-        self._roster: _Roster | None = None
-        self._pending = 0
-        self._draft: tuple | None = None
-
-    # -- bookkeeping hooks ---------------------------------------------
-
-    def _rebind_views(self) -> None:
-        store = self.store
-        for session in self.manager._resident.values():
-            for slot in session.slots:
-                slot.hidden = store.h[slot.col]
-                slot.cell = store.c[slot.col]
-
-    def materialize(self) -> None:
-        """Fold deferred fast-tick fill counts into the slot objects."""
-        pending = self._pending
-        if pending and self._roster is not None:
-            for slot in self._roster.row_slots:
-                slot.filled += pending
-        self._pending = 0
-
-    # -- stepping -------------------------------------------------------
-
-    def step_rows(self, stepped) -> tuple:
-        roster = self._roster
-        if roster is not None and roster.fast_left > 0 and len(stepped) == len(roster.sessions):
-            for (session, _token), cached in zip(stepped, roster.sessions):
-                if session is not cached:
-                    break
-            else:
-                return self._fast_tick(stepped, roster)
-        return self._slow_tick(stepped)
-
-    def _step_state(self, h, c, embedded) -> tuple:
-        if self.math is not None:
-            return self.math.step_rows(h, c, embedded)
-        engine = self.manager.engine
-        gate_outputs = engine.gates.run_batch(h, embedded)
-        return engine.hidden_state.step_batch(gate_outputs, c)
-
-    def _classify(self, hidden_rows) -> np.ndarray:
-        if self.math is not None:
-            return self.math.classify_rows(hidden_rows)
-        return self.manager.engine.hidden_state.classify_batch(hidden_rows)
-
-    def _fast_tick(self, stepped, roster: _Roster) -> tuple:
-        manager = self.manager
-        tokens = np.fromiter(
-            (token for _, token in stepped), dtype=np.int64, count=len(stepped)
-        )
-        rows = int(roster.cols.size)
-        if rows:
-            row_tokens = np.repeat(tokens, roster.counts)
-            embedded = manager.engine.preprocess.run_batch(row_tokens)
-            store = self.store
-            h = store.h[roster.cols]
-            c = store.c[roster.cols]
-            new_h, new_c = self._step_state(h, c, embedded)  # may raise FusedOverflow
-            store.h[roster.cols] = new_h
-            store.c[roster.cols] = new_c
-        for session, _token in stepped:
-            session.calls_seen += 1
-        self._pending += 1
-        roster.fast_left -= 1
-        return rows, []
-
-    def _slow_tick(self, stepped) -> tuple:
-        self.materialize()
-        self._roster = None
-        self._draft = None
-        manager = self.manager
-        stride = manager.config.stride
-        count = len(stepped)
-        sessions: list = []
-        row_sessions: list = []
-        row_slots: list = []
-        counts = np.empty(count, dtype=np.intp)
-        tokens = np.empty(count, dtype=np.int64)
-        for index, (session, token) in enumerate(stepped):
-            _open_due_slot(session, stride)
-            slots = session.slots
-            sessions.append(session)
-            counts[index] = len(slots)
-            tokens[index] = token
-            for slot in slots:
-                row_sessions.append(session)
-                row_slots.append(slot)
-
-        rows = len(row_slots)
-        completions: list = []
-        if rows:
-            cols = np.fromiter(
-                (slot.col for slot in row_slots), dtype=np.intp, count=rows
-            )
-            row_tokens = np.repeat(tokens, counts)
-            embedded = manager.engine.preprocess.run_batch(row_tokens)
-            store = self.store
-            h = store.h[cols]
-            c = store.c[cols]
-            new_h, new_c = self._step_state(h, c, embedded)  # may raise FusedOverflow
-            store.h[cols] = new_h
-            store.c[cols] = new_c
-            completed: list = []
-            window = manager.window_length
-            for index, slot in enumerate(row_slots):
-                slot.filled += 1
-                if slot.filled == window:
-                    completed.append(index)
-            if completed:
-                probabilities = self._classify(
-                    new_h[np.asarray(completed, dtype=np.intp)]
-                )
-                completions = [
-                    (row_sessions[index], row_slots[index], float(probability))
-                    for probability, index in zip(probabilities, completed)
-                ]
-        else:
-            cols = np.zeros(0, dtype=np.intp)
-        for session, _token in stepped:
-            session.calls_seen += 1
-        self._draft = (sessions, row_sessions, row_slots, cols, counts)
-        return rows, completions
-
-    def after_tick(self, stepped, completed: bool) -> None:
-        """Build the roster for upcoming ticks from this tick's outcome."""
-        draft = self._draft
-        self._draft = None
-        if draft is None:
-            return  # fast tick: roster already live
-        sessions, row_sessions, row_slots, cols, counts = draft
-        if not sessions:
-            return
-        if completed:
-            # Window closes invalidated the draft's rows; re-enumerate.
-            row_sessions, row_slots = [], []
-            for index, session in enumerate(sessions):
-                counts[index] = len(session.slots)
-                for slot in session.slots:
-                    row_sessions.append(session)
-                    row_slots.append(slot)
-            cols = np.fromiter(
-                (slot.col for slot in row_slots), dtype=np.intp,
-                count=len(row_slots),
-            )
-        stride = self.manager.config.stride
-        calls = np.fromiter(
-            (session.calls_seen for session in sessions), dtype=np.int64,
-            count=len(sessions),
-        )
-        # Next window opens for session i at age ((-calls_i) mod stride)+1;
-        # the earliest completion at age window - max(filled).  The tick
-        # at that age must be slow, every tick before it may be fast.
-        next_open = int(np.min((-calls) % stride)) + 1
-        if row_slots:
-            max_filled = max(slot.filled for slot in row_slots)
-            next_complete = self.manager.window_length - max_filled
-            horizon = min(next_open, next_complete)
-        else:
-            horizon = next_open
-        fast_left = horizon - 1
-        if fast_left > 0:
-            self._roster = _Roster(
-                sessions, row_sessions, row_slots, cols, counts, fast_left
-            )
+        if not done.size:
+            return new_h, new_c, _NO_PROBABILITIES
+        return new_h, new_c, fused.classify_rows(new_h[done])
 
 
 class SessionManager:
@@ -685,14 +251,15 @@ class SessionManager:
         or ``"fused"``); ``None`` uses the engine's configured backend.
         See :mod:`repro.core.kernels.backends`.
 
-    The manager keeps two tiers of state:
+    The manager keeps two tiers of state over one arena:
 
-    * **resident** sessions — hot ``(h, C)`` ring state, stepped in
-      batch, bounded by the memory budget;
-    * the **checkpoint store** — compact evicted state, the "storage
-      tier" a real CSD would spill to; restoring from it is transparent
-      and bit-exact.  Its bytes are tracked (``checkpoint_bytes``) and
-      optionally bounded by ``checkpoint_budget_bytes``.
+    * **resident** sessions — stepped in batch, bounded by the memory
+      budget, evicted least recently stepped first;
+    * the **checkpoint store** — evicted state, the "storage tier" a
+      real CSD would spill to; restoring from it is transparent and
+      bit-exact.  Its bytes are tracked (``checkpoint_bytes``) and
+      optionally bounded by ``checkpoint_budget_bytes``, oldest dropped
+      first.
 
     Stepping never touches the engine's sequence/AXI counters: the
     incremental path is a different execution model from the per-window
@@ -714,9 +281,9 @@ class SessionManager:
             else np.float64
         )
         bytes_per_value = 8
+        self._slot_bytes = 2 * self._hidden_size * bytes_per_value
         self.session_bytes = (
-            SESSION_OVERHEAD_BYTES
-            + self.ring_capacity * 2 * self._hidden_size * bytes_per_value
+            SESSION_OVERHEAD_BYTES + self.ring_capacity * self._slot_bytes
         )
         self._max_resident = self._effective_cap()
         self._sequence_microseconds = engine.sequence_microseconds()
@@ -726,11 +293,16 @@ class SessionManager:
             self.backend = engine.step_backend
         else:
             self.backend = resolve_backend(backend_name, engine)
-        self._store = None  # set by the stepper's constructor
-        self._stepper = self.backend.session_stepper(self)
+        self._stepper = self.backend.session_stepper()
 
+        # The arena.  Each held key owns one row; the two index dicts
+        # keep the tier orders (resident: least recently stepped first,
+        # checkpoints: oldest first) that eviction and dropping follow.
         self._resident: collections.OrderedDict = collections.OrderedDict()
         self._checkpoints: collections.OrderedDict = collections.OrderedDict()
+        self._ring_offsets = np.arange(1 - self.ring_capacity, 1)
+        self._empty_arena()
+
         self._checkpoint_bytes = 0
         self._tick = 0
         # Plain-int counters, always live (telemetry only mirrors them).
@@ -757,6 +329,79 @@ class SessionManager:
         return cap
 
     # ------------------------------------------------------------------
+    # The arena
+    # ------------------------------------------------------------------
+
+    def _empty_arena(self) -> None:
+        """A fresh 16-row arena (also releases an emptied manager's memory)."""
+        rows = 16
+        self._free: list = []  # rows freed below the high-water mark
+        self._high_water = 0
+        self._calls = np.zeros(rows, dtype=np.int64)
+        self._flagged = np.zeros(rows, dtype=bool)
+        self._windows = np.zeros(rows, dtype=np.int64)
+        self._last_tick: list = [0] * rows  # read per key by the idle scan
+        self._h = np.zeros((rows, self.ring_capacity, self._hidden_size),
+                           dtype=self._dtype)
+        self._c = np.zeros_like(self._h)
+
+    def _grow(self) -> None:
+        """Double the arena."""
+        rows = len(self._calls)
+        for name in ("_calls", "_flagged", "_windows", "_h", "_c"):
+            old = getattr(self, name)
+            new = np.zeros((2 * rows,) + old.shape[1:], dtype=old.dtype)
+            new[:rows] = old
+            setattr(self, name, new)
+        self._last_tick.extend([0] * rows)
+
+    def _new_row(self, calls_seen: int = 0, flagged: bool = False,
+                 windows_classified: int = 0) -> int:
+        """A free row holding these columns (ring state is zeroed as windows open)."""
+        if self._free:
+            row = self._free.pop()
+        else:
+            if self._high_water == len(self._calls):
+                self._grow()
+            row = self._high_water
+            self._high_water += 1
+        self._calls[row] = calls_seen
+        self._flagged[row] = flagged
+        self._windows[row] = windows_classified
+        return row
+
+    def _slot_starts(self, calls_seen: int) -> range:
+        """Starts of the windows open after ``calls_seen`` tokens, oldest first."""
+        stride = self.config.stride
+        first = max(0, calls_seen - self.window_length + 1)
+        return range(-(-first // stride) * stride, calls_seen, stride)
+
+    def _checkpoint_nbytes(self, calls_seen: list) -> int:
+        """Checkpoint bytes of streams with these ``calls_seen``: their open windows."""
+        stride = self.config.stride
+        reach = self.window_length - 1
+        slots = 0
+        for calls in calls_seen:
+            # len(self._slot_starts(calls)), inlined on this hot path.
+            slots += (calls - 1) // stride - (max(calls - reach, 0) - 1) // stride
+        return len(calls_seen) * SESSION_OVERHEAD_BYTES + slots * self._slot_bytes
+
+    def _row_checkpoint(self, key, row: int) -> SessionCheckpoint:
+        calls = self._calls.item(row)
+        slots = []
+        for start in self._slot_starts(calls):
+            ring = (start // self.config.stride) % self.ring_capacity
+            slots.append((start, calls - start, self._h[row, ring].copy(),
+                          self._c[row, ring].copy()))
+        return SessionCheckpoint(
+            key=key,
+            calls_seen=calls,
+            flagged=self._flagged.item(row),
+            windows_classified=self._windows.item(row),
+            slots=tuple(slots),
+        )
+
+    # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
@@ -777,11 +422,18 @@ class SessionManager:
         """Bytes retained by the checkpoint store (budgeted separately)."""
         return self._checkpoint_bytes
 
+    @property
+    def slot_steps(self) -> int:
+        """Window rows stepped so far (``stats()["slot_steps"]``)."""
+        return self._slot_steps
+
+    def __contains__(self, key) -> bool:
+        """Whether ``key`` is held, resident or checkpointed."""
+        return key in self._resident or key in self._checkpoints
+
     def known_keys(self) -> tuple:
         """Every session key currently held, resident or checkpointed."""
-        keys = list(self._resident)
-        keys.extend(k for k in self._checkpoints if k not in self._resident)
-        return tuple(keys)
+        return tuple(self._resident) + tuple(self._checkpoints)
 
     def stats(self) -> dict:
         """Plain-data operational counters (mirrors the telemetry)."""
@@ -806,88 +458,103 @@ class SessionManager:
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def _count_eviction(self, reason: str) -> None:
-        self._evictions[reason] = self._evictions.get(reason, 0) + 1
-        self._count("repro_session_evictions_total", reason=reason)
+    def _count_eviction(self, reason: str, count: int = 1) -> None:
+        self._evictions[reason] = self._evictions.get(reason, 0) + count
+        self._count("repro_session_evictions_total", count, reason=reason)
 
-    def _store_checkpoint(self, checkpoint: SessionCheckpoint) -> None:
-        previous = self._checkpoints.pop(checkpoint.key, None)
-        if previous is not None:
-            self._checkpoint_bytes -= previous.nbytes
-        self._checkpoints[checkpoint.key] = checkpoint
-        self._checkpoint_bytes += checkpoint.nbytes
+    def _drop_over_budget(self) -> None:
+        """Drop the oldest checkpoints until the store fits its budget."""
         budget = self.config.checkpoint_budget_bytes
-        if budget is not None:
-            while self._checkpoint_bytes > budget and self._checkpoints:
-                _, dropped = self._checkpoints.popitem(last=False)
-                self._checkpoint_bytes -= dropped.nbytes
-                self._count_eviction(EVICT_CHECKPOINT_BUDGET)
+        if budget is None or self._checkpoint_bytes <= budget:
+            return
+        dropped = 0
+        while self._checkpoint_bytes > budget and self._checkpoints:
+            _, row = self._checkpoints.popitem(last=False)
+            self._checkpoint_bytes -= self._checkpoint_nbytes([self._calls.item(row)])
+            self._free.append(row)
+            dropped += 1
+        self._count_eviction(EVICT_CHECKPOINT_BUDGET, dropped)
 
-    def _pop_checkpoint(self, key) -> SessionCheckpoint | None:
-        checkpoint = self._checkpoints.pop(key, None)
-        if checkpoint is not None:
-            self._checkpoint_bytes -= checkpoint.nbytes
-        return checkpoint
+    def _evict_oldest(self, count: int, reason: str) -> None:
+        """Move the ``count`` least recently stepped rows to the checkpoint tier."""
+        resident = self._resident
+        checkpoints = self._checkpoints
+        rows = []
+        for _ in range(count):
+            key, row = resident.popitem(last=False)
+            checkpoints[key] = row
+            rows.append(row)
+        self._checkpoint_bytes += self._checkpoint_nbytes(self._calls[rows].tolist())
+        self._count_eviction(reason, count)
+        self._drop_over_budget()
 
     def _degrade(self, reason: str) -> None:
-        """Swap to the reference stepper mid-run (overflow guard path)."""
-        self._stepper.materialize()
-        old_stepper = self._stepper
-        self._stepper = ReferenceStepper(self)  # rebinds self._store
-        del old_stepper
-        for session in self._resident.values():
-            session.rebind_store(self._store)
+        """Swap to the reference math mid-run (overflow guard path)."""
+        self._stepper = ReferenceStepper(self.engine)
         self.backend.record_fallback(reason)
 
-    def _activate(self, key) -> StreamSession:
-        """Resident lookup with LRU touch; restores or creates as needed."""
-        session = self._resident.get(key)
-        if session is not None:
-            self._resident.move_to_end(key)
-        else:
-            checkpoint = self._pop_checkpoint(key)
-            if checkpoint is not None:
-                try:
-                    session = StreamSession.from_checkpoint(checkpoint, self._store)
-                except FusedOverflow:
-                    self._degrade(FALLBACK_OVERFLOW_GUARD)
-                    session = StreamSession.from_checkpoint(checkpoint, self._store)
-                self._restores += 1
-                self._count("repro_session_restores_total")
+    def _activate(self, keys) -> np.ndarray:
+        """Arena rows of ``keys``, LRU-touched; restores or creates as needed."""
+        resident = self._resident
+        checkpoints = self._checkpoints
+        tick = self._tick
+        rows = []
+        restored = []
+        for key in keys:
+            row = resident.get(key)
+            if row is not None:
+                resident.move_to_end(key)
             else:
-                session = StreamSession(key, self._store)
-            self._resident[key] = session
-        session.last_used_tick = self._tick
-        return session
-
-    def _evict_session(self, key, reason: str, checkpoint: bool = True) -> None:
-        self._stepper.materialize()
-        session = self._resident.pop(key)
-        if checkpoint:
-            self._store_checkpoint(session.checkpoint())
-        session.release_slots()
-        self._count_eviction(reason)
+                row = checkpoints.pop(key, None)
+                if row is None:
+                    row = self._new_row()
+                else:
+                    restored.append(row)
+                resident[key] = row
+            self._last_tick[row] = tick
+            rows.append(row)
+        if restored:
+            self._checkpoint_bytes -= self._checkpoint_nbytes(
+                self._calls[restored].tolist()
+            )
+            self._restores += len(restored)
+            self._count("repro_session_restores_total", len(restored))
+        return np.array(rows, dtype=np.intp)
 
     def _enforce_budget(self) -> None:
+        resident = self._resident
         cap = self._max_resident
-        if cap is not None:
-            while len(self._resident) > cap:
-                oldest = next(iter(self._resident))
-                self._evict_session(oldest, EVICT_LRU)
+        if cap is not None and len(resident) > cap:
+            self._evict_oldest(len(resident) - cap, EVICT_LRU)
         idle_after = self.config.idle_after_steps
         if idle_after is not None:
+            # Resident order is last-tick order: the idle rows are a prefix.
             horizon = self._tick - idle_after
-            while self._resident:
-                oldest = next(iter(self._resident))
-                if self._resident[oldest].last_used_tick > horizon:
+            last_tick = self._last_tick
+            idle = 0
+            for row in resident.values():
+                if last_tick[row] > horizon:
                     break
-                self._evict_session(oldest, EVICT_IDLE)
+                idle += 1
+            if idle:
+                self._evict_oldest(idle, EVICT_IDLE)
 
     def evict(self, key, reason: str = EVICT_LRU) -> None:
         """Checkpoint and evict one resident session explicitly."""
         if key not in self._resident:
             raise KeyError(f"session {key!r} is not resident")
-        self._evict_session(key, reason)
+        self._resident.move_to_end(key, last=False)
+        self._evict_oldest(1, reason)
+
+    def _drop(self, key) -> None:
+        """Forget ``key`` in whichever tier holds it and free its row."""
+        row = self._resident.pop(key, None)
+        if row is None:
+            row = self._checkpoints.pop(key)
+            self._checkpoint_bytes -= self._checkpoint_nbytes([self._calls.item(row)])
+        self._free.append(row)
+        if not self._resident and not self._checkpoints:
+            self._empty_arena()
 
     def close(self, key) -> None:
         """Drop a session entirely (process exited); counted as eviction.
@@ -895,33 +562,58 @@ class SessionManager:
         Unlike :meth:`evict`, no checkpoint survives — a later token for
         the same key starts a fresh stream.
         """
-        if key in self._resident:
-            self._evict_session(key, EVICT_CLOSED, checkpoint=False)
-        elif key in self._checkpoints:
-            self._pop_checkpoint(key)
-            self._count_eviction(EVICT_CLOSED)
-        else:
+        if key not in self:
             raise KeyError(f"unknown session {key!r}")
+        self._drop(key)
+        self._count_eviction(EVICT_CLOSED)
 
     def export_checkpoint(self, key) -> SessionCheckpoint:
         """Snapshot one session (resident or evicted) for migration.
 
-        The session's local state is untouched; use :meth:`close` on the
-        source and :meth:`import_checkpoint` on the target to complete a
-        hand-off (the fleet failover path does exactly this).
+        The session's local state is untouched; :meth:`release` also
+        drops it, completing a hand-off once the target calls
+        :meth:`import_checkpoint`.
         """
-        if key in self._resident:
-            self._stepper.materialize()
-            return self._resident[key].checkpoint()
-        if key in self._checkpoints:
-            return self._checkpoints[key]
-        raise KeyError(f"unknown session {key!r}")
+        row = self._resident.get(key)
+        if row is None:
+            row = self._checkpoints.get(key)
+            if row is None:
+                raise KeyError(f"unknown session {key!r}")
+        return self._row_checkpoint(key, row)
 
     def import_checkpoint(self, checkpoint: SessionCheckpoint) -> None:
-        """Adopt a migrated session; it restores on its next token."""
-        if checkpoint.key in self._resident:
-            raise ValueError(f"session {checkpoint.key!r} is already resident")
-        self._store_checkpoint(checkpoint)
+        """Adopt a migrated session; it restores on its next token.
+
+        Raises ``ValueError`` if the key is resident here, or if the
+        checkpoint's windows or state shapes do not match this manager's
+        window length, stride and hidden size.
+        """
+        key = checkpoint.key
+        if key in self._resident:
+            raise ValueError(f"session {key!r} is already resident")
+        calls = checkpoint.calls_seen
+        slots = checkpoint.slots
+        state = (self._hidden_size,)
+        if [(start, filled, np.shape(hidden), np.shape(cell))
+                for start, filled, hidden, cell in slots] != [
+            (start, calls - start, state, state)
+            for start in self._slot_starts(calls)
+        ]:
+            raise ValueError(
+                f"checkpoint of {key!r} does not match window "
+                f"{self.window_length} / stride {self.config.stride}"
+            )
+        if key in self._checkpoints:
+            self._drop(key)
+        row = self._new_row(calls, checkpoint.flagged,
+                            checkpoint.windows_classified)
+        for start, _, hidden, cell in slots:
+            ring = (start // self.config.stride) % self.ring_capacity
+            self._h[row, ring] = hidden
+            self._c[row, ring] = cell
+        self._checkpoints[key] = row
+        self._checkpoint_bytes += self._checkpoint_nbytes([calls])
+        self._drop_over_budget()
 
     def release(self, key) -> SessionCheckpoint:
         """Export ``key`` and drop every local copy; counted ``migrated``.
@@ -929,13 +621,10 @@ class SessionManager:
         The live-migration primitive: hand the returned checkpoint to
         another manager's :meth:`import_checkpoint` and the session has
         *moved* (unlike :meth:`export_checkpoint`, which copies).  Used
-        by shard rebalancing, where the source device stays in service.
+        by shard rebalancing and by the fleet's drain/failover hand-off.
         """
         checkpoint = self.export_checkpoint(key)
-        session = self._resident.pop(key, None)
-        if session is not None:
-            session.release_slots()
-        self._pop_checkpoint(key)
+        self._drop(key)
         self._count_eviction(EVICT_MIGRATED)
         return checkpoint
 
@@ -947,7 +636,7 @@ class SessionManager:
         """Feed one token of one stream; the single-stream convenience.
 
         Returns the window verdict this token completed, if any (a token
-        completes at most one window: open slots always hold distinct
+        completes at most one window: open windows always hold distinct
         fill counts).
         """
         verdicts = self.step({key: token})
@@ -971,48 +660,96 @@ class SessionManager:
             in row order.
         """
         self._tick += 1
-        stepped: list = []
-        for key, token in tokens.items():
-            session = self._activate(key)
-            self._tokens += 1
-            if session.flagged and self.config.early_exit:
-                self._tokens_dropped += 1
-                continue
-            stepped.append((session, int(token)))
+        keys = list(tokens)
+        rows = self._activate(keys)
+        token_ids = np.fromiter(tokens.values(), dtype=np.int64, count=len(keys))
+        self._tokens += len(keys)
+        if self.config.early_exit:
+            live = ~self._flagged[rows]
+            if not live.all():
+                self._tokens_dropped += len(keys) - int(np.count_nonzero(live))
+                keys = [key for key, keep in zip(keys, live) if keep]
+                rows = rows[live]
+                token_ids = token_ids[live]
 
-        try:
-            rows, completions = self._stepper.step_rows(stepped)
-        except FusedOverflow:
-            self._degrade(FALLBACK_OVERFLOW_GUARD)
-            rows, completions = self._stepper.step_rows(stepped)
-        verdicts = [
-            self._complete_window(session, slot, probability)
-            for session, slot, probability in completions
-        ]
-        self._slot_steps += rows
-        self._stepper.after_tick(stepped, bool(completions))
-
+        stepped = 0
+        verdicts: list = []
+        if len(keys):
+            stepped, verdicts = self._step_rows(keys, rows, token_ids)
         self._steps += 1
         self._enforce_budget()
-        self._emit_step_telemetry(len(stepped), rows, len(verdicts))
+        self._emit_step_telemetry(len(keys), stepped, len(verdicts))
         return verdicts
 
-    def _complete_window(self, session: StreamSession, slot: _WindowSlot,
+    def _step_rows(self, keys: list, rows: np.ndarray,
+                   token_ids: np.ndarray) -> tuple:
+        """Step every open window of ``rows`` by one token each.
+
+        Rows run stream-major, oldest window first (the reference row
+        order).  A window opens with zero state when ``calls_seen`` is a
+        multiple of ``stride`` and completes once it holds
+        ``window_length`` tokens.
+        """
+        stride = self.config.stride
+        window = self.window_length
+        ring_capacity = self.ring_capacity
+        calls = self._calls[rows]
+        # Per ring position, oldest window first: start // stride, fill.
+        index = (calls // stride)[:, None] + self._ring_offsets
+        filled = calls[:, None] - index * stride
+        live = (index >= 0) & (filled < window)
+        owner = np.nonzero(live)[0]
+        if not owner.size:
+            self._calls[rows] = calls + 1
+            return 0, []
+        filled = filled[live]
+        slots = ((rows * ring_capacity)[:, None] + index % ring_capacity)[live]
+        h_slots = self._h.reshape(-1, self._hidden_size)
+        c_slots = self._c.reshape(-1, self._hidden_size)
+        h = h_slots.take(slots, axis=0)
+        c = c_slots.take(slots, axis=0)
+        fresh = filled == 0
+        h[fresh] = 0
+        c[fresh] = 0
+        done = np.flatnonzero(filled == window - 1)
+        row_tokens = token_ids[owner]
+        try:
+            new_h, new_c, probabilities = self._stepper.step_rows(
+                h, c, row_tokens, done
+            )
+        except FusedOverflow:
+            self._degrade(FALLBACK_OVERFLOW_GUARD)
+            new_h, new_c, probabilities = self._stepper.step_rows(
+                h, c, row_tokens, done
+            )
+        h_slots[slots] = new_h
+        c_slots[slots] = new_c
+        self._calls[rows] = calls + 1
+        self._slot_steps += len(owner)
+        verdicts = []
+        for i, probability in zip(done.tolist(), probabilities):
+            stream = owner[i]
+            verdicts.append(self._complete_window(
+                keys[stream], rows[stream], int(calls[stream]) - (window - 1),
+                float(probability),
+            ))
+        return len(owner), verdicts
+
+    def _complete_window(self, key, row: int, start: int,
                          probability: float) -> SessionVerdict:
         verdict = SessionVerdict(
-            session=session.key,
-            window_index=slot.start,
+            session=key,
+            window_index=start,
             probability=probability,
             is_ransomware=probability >= self.config.threshold,
             inference_microseconds=self._sequence_microseconds,
         )
-        session.close_slot(slot)
-        session.windows_classified += 1
+        self._windows[row] += 1
         label = "ransomware" if verdict.is_ransomware else "benign"
         self._verdicts[label] += 1
         self._count("repro_session_verdicts_total", verdict=label)
-        if verdict.is_ransomware and not session.flagged:
-            session.flagged = True
+        if verdict.is_ransomware and not self._flagged[row]:
+            self._flagged[row] = True
             if self.config.early_exit:
                 self._early_exits += 1
                 self._count("repro_session_early_exits_total")
@@ -1022,10 +759,10 @@ class SessionManager:
     # Telemetry (observation only; plain counters above are the source)
     # ------------------------------------------------------------------
 
-    def _count(self, name: str, **labels) -> None:
+    def _count(self, name: str, amount: int = 1, **labels) -> None:
         telemetry = self.engine.telemetry
         if telemetry is not None:
-            telemetry.counter(name, **labels).inc()
+            telemetry.counter(name, **labels).inc(amount)
 
     def _emit_step_telemetry(self, sessions: int, rows: int,
                              verdicts: int) -> None:

@@ -195,23 +195,55 @@ class TestDegradation:
 
         fused = SessionManager(engine, config, backend="fused")
         original = sessions_mod.FusedStepper.step_rows
-        state = {"armed": True}
+        calls = {"fused": 0}
 
-        def flaky(self, stepped):
-            if state["armed"] and len(self.manager._resident) and (
-                next(iter(self.manager._resident.values())).calls_seen
-                > WINDOW + 2
-            ):
-                state["armed"] = False
+        def flaky(self, *args):
+            calls["fused"] += 1
+            if fused.stats()["steps"] == WINDOW + 2:
                 raise FusedOverflow("injected")
-            return original(self, stepped)
+            return original(self, *args)
 
         monkeypatch.setattr(sessions_mod.FusedStepper, "step_rows", flaky)
         got = manager_verdicts(fused, keys, tokens)
         assert want and got == want
         stats = fused.stats()
         assert stats["backend_fallbacks"].get(FALLBACK_OVERFLOW_GUARD) == 1
-        assert isinstance(fused._stepper, sessions_mod.ReferenceStepper)
+        # The fused math ran up to the injected tick and never again.
+        assert calls["fused"] == WINDOW + 3
+
+    def test_import_outside_fused_envelope_degrades(self):
+        """A checkpoint whose state lies outside the fused exactness
+        envelope (here a hidden state above ``scale``, which no LSTM step
+        produces) degrades the importing fused manager to the reference
+        math (counted) on its first step, before the fused step runs."""
+        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        rng = np.random.default_rng(41)
+        tokens = rng.integers(0, VOCAB, size=3 * WINDOW)
+        split = WINDOW + 1
+        config = SessionConfig(stride=2)
+        source = SessionManager(engine, config, backend="reference")
+        for token in tokens[:split]:
+            source.observe("p", int(token))
+        checkpoint = source.export_checkpoint("p")
+        scale = engine_for(
+            OptimizationLevel.FIXED_POINT, backend="fused"
+        ).step_backend.fused_math.scale
+        start, filled, hidden, cell = checkpoint.slots[0]
+        wide = dataclasses.replace(checkpoint, slots=(
+            (start, filled, hidden + 4 * scale, cell),
+        ) + checkpoint.slots[1:])
+
+        got = {}
+        for backend in ("reference", "fused"):
+            target = SessionManager(engine, config, backend=backend)
+            target.import_checkpoint(wide)
+            got[backend] = [
+                (v.window_index, v.probability)
+                for t in tokens[split:] for v in [target.observe("p", int(t))]
+                if v is not None
+            ]
+        assert got["reference"] and got["fused"] == got["reference"]
+        assert target.stats()["backend_fallbacks"] == {FALLBACK_OVERFLOW_GUARD: 1}
 
     def test_fallbacks_and_ticks_are_observable(self):
         from repro.telemetry import Telemetry

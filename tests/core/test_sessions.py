@@ -28,7 +28,6 @@ from repro.core.sessions import (
     SESSION_OVERHEAD_BYTES,
     SessionConfig,
     SessionManager,
-    StreamSession,
 )
 from repro.core.weights import HostWeights
 from repro.nn.model import SequenceClassifier
@@ -351,6 +350,18 @@ class TestCheckpointRestore:
         for before, after in zip(frozen, checkpoint.slots):
             np.testing.assert_array_equal(before, after[2])
 
+    def test_import_mismatched_window_layout_rejected(self):
+        """Open windows follow from ``calls_seen`` and ``stride``, so a
+        checkpoint from a manager with another stride cannot be adopted."""
+        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        source = SessionManager(engine, SessionConfig(stride=2))
+        incremental_verdicts(source, "proc", np.arange(WINDOW + 3) % VOCAB)
+        checkpoint = source.export_checkpoint("proc")
+        target = SessionManager(engine, SessionConfig(stride=3))
+        with pytest.raises(ValueError, match="does not match"):
+            target.import_checkpoint(checkpoint)
+        assert "proc" not in target
+
     def test_import_resident_key_rejected(self):
         engine = engine_for(OptimizationLevel.VANILLA)
         manager = SessionManager(engine, SessionConfig())
@@ -419,8 +430,8 @@ class TestLifecycle:
         manager = SessionManager(engine, SessionConfig(stride=4))
         for token in range(5 * WINDOW):
             manager.observe("proc", token % VOCAB)
-            session = manager._resident["proc"]
-            assert len(session.slots) <= manager.ring_capacity
+            slots = manager.export_checkpoint("proc").slots
+            assert len(slots) <= manager.ring_capacity
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
