@@ -10,7 +10,8 @@ incremental cost vs the recompute *burst*), asserts the two verdict
 streams are **bit-identical**, and writes
 ``BENCH_streaming_sessions.json``.  A budgeted scenario additionally
 exercises LRU eviction + checkpoint/restore under memory pressure and
-re-checks parity.  See ``docs/streaming.md``.
+re-checks parity.  A report-only ``wall`` block gives the sweep's host
+wall clock and its end-to-end session rates.  See ``docs/streaming.md``.
 
 Two entry points:
 
@@ -106,6 +107,27 @@ def _p99_microseconds(seconds: list) -> float:
     return ordered[rank] * 1e6
 
 
+def _wall_row(results: list, wall_seconds: float) -> dict:
+    """Host wall clock of the sweep (report only, never gated).
+
+    ``seconds`` is the whole sweep: every rung's incremental, reference
+    and recompute passes and the memory-pressure scenario.  The rates are
+    end to end through ``SessionManager.step`` on the backend under test,
+    over all sweep rungs.
+    """
+    stepping = sum(row["incremental_seconds"] for row in results)
+
+    def rate(count):
+        return count / stepping if stepping else 0.0
+
+    return {
+        "seconds": wall_seconds,
+        "tokens_per_s": rate(sum(row["streams"] * row["tokens_per_stream"]
+                                 for row in results)),
+        "verdicts_per_s": rate(sum(row["verdicts"] for row in results)),
+    }
+
+
 def run_sweep(
     engine,
     stream_counts,
@@ -122,6 +144,7 @@ def run_sweep(
     (same manager mechanics, kernel backend isolated) and to assert the
     two verdict streams match bit-exactly.
     """
+    started = time.perf_counter()
     vocab = engine.config.dimensions.vocab_size
     window = engine.config.dimensions.sequence_length
     compare_reference = backend != "reference"
@@ -196,6 +219,7 @@ def run_sweep(
         "backend_fallbacks": bud_stats["backend_fallbacks"],
         "results": results,
         "memory_pressure": budget_row,
+        "wall": _wall_row(results, time.perf_counter() - started),
     }
 
 
@@ -230,6 +254,11 @@ def _report_lines(document: dict) -> list:
         f"evictions {sum(pressure['evictions'].values())} "
         f"restores {pressure['restores']}  "
         f"bit-exact {pressure['bit_exact_vs_unbudgeted']}"
+    )
+    wall = document["wall"]
+    lines.append(
+        f"wall: {wall['seconds']:.1f}s  {wall['tokens_per_s']:.0f} tokens/s "
+        f"{wall['verdicts_per_s']:.0f} verdicts/s end to end (sessions)"
     )
     return lines
 

@@ -27,6 +27,11 @@ from repro.hw.axi import AxiMasterPort
 from repro.hw.hls import HlsLoop, II_OPTIMIZED_PRAGMAS, LoopNest, PragmaSet, VANILLA_PRAGMAS
 
 
+def token_range_error(token_id: int, vocab_size: int) -> ValueError:
+    """The error every embedding path raises for a token outside the table."""
+    return ValueError(f"token id {token_id} out of range [0, {vocab_size})")
+
+
 class PreprocessKernel(Kernel):
     """Embedding lookup + per-CU fan-out."""
 
@@ -69,9 +74,7 @@ class PreprocessKernel(Kernel):
         if table is None:
             raise RuntimeError("load_embeddings must be called before run")
         if not 0 <= token_id < table.shape[0]:
-            raise ValueError(
-                f"token id {token_id} out of range [0, {table.shape[0]})"
-            )
+            raise token_range_error(token_id, table.shape[0])
         embedding = table[token_id]
         return [embedding.copy() for _ in range(self.config.num_gate_cus)]
 
@@ -96,9 +99,7 @@ class PreprocessKernel(Kernel):
             out_of_range = (tokens < 0) | (tokens >= table.shape[0])
             if np.any(out_of_range):
                 bad = int(tokens[out_of_range].ravel()[0])
-                raise ValueError(
-                    f"token id {bad} out of range [0, {table.shape[0]})"
-                )
+                raise token_range_error(bad, table.shape[0])
         return table[tokens]
 
     def account_batch_fetches(self, count: int) -> None:

@@ -21,7 +21,10 @@ All per-stream state lives in one struct-of-arrays arena per manager
   alone; window ``start`` lives in ring position
   ``(start // stride) % ring_capacity``.
 
-A tick is a few vectorised gathers, one math call and one scatter.  The
+A tick is one stepper call on the arena.  With the ``fused`` backend's
+compiled tier that is one C call, which derives the open windows,
+gathers, checks, steps, scatters and classifies; otherwise the NumPy
+tick gathers the open windows, runs the kernels and scatters.  The
 manager keeps two tiers over the same rows: **resident** streams (LRU
 order, bounded by the memory budget) and the **checkpoint store** (the
 cold tier a real CSD would spill to, FIFO order, bounded by
@@ -176,6 +179,119 @@ class SessionCheckpoint:
         return SESSION_OVERHEAD_BYTES + state
 
 
+class SessionArena:
+    """One manager's per-stream state, struct-of-arrays (``docs/streaming.md``).
+
+    Each held stream owns one row: columns ``calls`` (tokens consumed),
+    ``flagged``, ``windows`` (windows classified) and ``last_tick``, and
+    ``h``/``c`` blocks of shape ``(rows, ring_capacity, H)`` holding the
+    state of its open windows.  Window starts are the multiples of
+    ``stride``; window ``start`` lives in ring position
+    ``(start // stride) % ring_capacity``.  The arrays are reallocated
+    only by :meth:`grow`.
+    """
+
+    def __init__(self, window_length: int, stride: int, hidden_size: int,
+                 dtype, rows: int = 16):
+        self.window_length = window_length
+        self.stride = stride
+        self.ring_capacity = math.ceil(window_length / stride)
+        #: Ring offsets from the newest window back, oldest first.
+        self.ring_offsets = np.arange(1 - self.ring_capacity, 1)
+        self.free: list = []  # rows freed below the high-water mark
+        self.high_water = 0
+        self.calls = np.zeros(rows, dtype=np.int64)
+        self.flagged = np.zeros(rows, dtype=bool)
+        self.windows = np.zeros(rows, dtype=np.int64)
+        self.last_tick: list = [0] * rows  # read per key by the idle scan
+        self.h = np.zeros((rows, self.ring_capacity, hidden_size), dtype=dtype)
+        self.c = np.zeros_like(self.h)
+        #: The compiled tick's view of the arrays, built on its first
+        #: tick after each allocation.
+        self.kernel_view = None
+
+    def grow(self) -> None:
+        """Double the rows."""
+        rows = len(self.calls)
+        for name in ("calls", "flagged", "windows", "h", "c"):
+            old = getattr(self, name)
+            new = np.zeros((2 * rows,) + old.shape[1:], dtype=old.dtype)
+            new[:rows] = old
+            setattr(self, name, new)
+        self.last_tick.extend([0] * rows)
+        self.kernel_view = None
+
+    def new_row(self, calls_seen: int = 0, flagged: bool = False,
+                windows_classified: int = 0) -> int:
+        """A free row holding these columns (ring state is zeroed as windows open)."""
+        if self.free:
+            row = self.free.pop()
+        else:
+            if self.high_water == len(self.calls):
+                self.grow()
+            row = self.high_water
+            self.high_water += 1
+        self.calls[row] = calls_seen
+        self.flagged[row] = flagged
+        self.windows[row] = windows_classified
+        return row
+
+    def slot_starts(self, calls_seen: int) -> range:
+        """Starts of the windows open after ``calls_seen`` tokens, oldest first."""
+        stride = self.stride
+        first = max(0, calls_seen - self.window_length + 1)
+        return range(-(-first // stride) * stride, calls_seen, stride)
+
+    def ring_position(self, start: int) -> int:
+        """Ring position of the window that starts at token ``start``."""
+        return (start // self.stride) % self.ring_capacity
+
+
+def _numpy_tick(arena: SessionArena, rows: np.ndarray, token_ids: np.ndarray,
+                embed, step) -> tuple:
+    """One session tick in NumPy: the oracle's, and the fused no-compiler rung's.
+
+    Embeds every token (``embed`` raises on a bad one), steps every open
+    window of ``rows`` by one token through ``step(h, c, embedded, done)
+    -> (new_h, new_c, probabilities)``, then scatters the new state and
+    advances ``calls``.  Window rows run stream-major, oldest window
+    first (the reference row order).  A window opens with zero state when
+    ``calls_seen`` is a multiple of ``stride`` and completes once it holds
+    ``window_length`` tokens.  Nothing is written if ``embed`` or ``step``
+    raises.  Returns ``(stepped, done, probabilities)`` with ``done`` the
+    indexes into ``rows`` whose window completed.
+    """
+    embedded = embed(token_ids)
+    stride = arena.stride
+    window = arena.window_length
+    ring_capacity = arena.ring_capacity
+    calls = arena.calls[rows]
+    # Per ring position, oldest window first: start // stride, fill.
+    index = (calls // stride)[:, None] + arena.ring_offsets
+    filled = calls[:, None] - index * stride
+    live = (index >= 0) & (filled < window)
+    owner = np.nonzero(live)[0]
+    if not owner.size:
+        arena.calls[rows] = calls + 1
+        return 0, owner, _NO_PROBABILITIES
+    filled = filled[live]
+    slots = ((rows * ring_capacity)[:, None] + index % ring_capacity)[live]
+    hidden_size = arena.h.shape[-1]
+    h_slots = arena.h.reshape(-1, hidden_size)
+    c_slots = arena.c.reshape(-1, hidden_size)
+    h = h_slots.take(slots, axis=0)
+    c = c_slots.take(slots, axis=0)
+    fresh = filled == 0
+    h[fresh] = 0
+    c[fresh] = 0
+    done = np.flatnonzero(filled == window - 1)
+    new_h, new_c, probabilities = step(h, c, embedded[owner], done)
+    h_slots[slots] = new_h
+    c_slots[slots] = new_c
+    arena.calls[rows] = calls + 1
+    return len(owner), owner[done], probabilities
+
+
 class ReferenceStepper:
     """The oracle math: the engine's per-kernel NumPy pipeline.
 
@@ -188,15 +304,21 @@ class ReferenceStepper:
     def __init__(self, engine):
         self.engine = engine
 
-    def step_rows(self, h: np.ndarray, c: np.ndarray, tokens: np.ndarray,
-                  done: np.ndarray) -> tuple:
-        """One LSTM step over ``(n, H)`` rows; classify rows ``done``.
+    def step_rows(self, arena: SessionArena, rows: np.ndarray,
+                  token_ids: np.ndarray) -> tuple:
+        """One tick: step every open window of ``rows``, in place.
 
-        Returns ``(new_h, new_c, probabilities)``, one probability per
-        index in ``done``.
+        ``rows`` are arena rows and ``token_ids`` their tokens (int64,
+        one per stream).  Returns ``(stepped, done, probabilities)``:
+        window rows stepped, the indexes into ``rows`` whose window
+        completed, and one probability each.  A bad token raises the
+        embedding kernel's ``ValueError`` with the arena untouched.
         """
+        return _numpy_tick(arena, rows, token_ids,
+                           self.engine.preprocess.run_batch, self._step)
+
+    def _step(self, h, c, embedded, done) -> tuple:
         engine = self.engine
-        embedded = engine.preprocess.run_batch(tokens)
         gate_outputs = engine.gates.run_batch(h, embedded)
         hidden, cell = engine.hidden_state.step_batch(gate_outputs, c)
         if not done.size:
@@ -205,11 +327,13 @@ class ReferenceStepper:
 
 
 class FusedStepper:
-    """The fused fixed-point step (the ``fused`` backend's math).
+    """The fused fixed-point tick (the ``fused`` backend's math).
 
-    Arena rows are int64; the fused pass carries them as exact float64
-    integers.  Raises :class:`~repro.core.kernels.backends.FusedOverflow`
-    (inputs untouched) when an input row lies outside the exactness
+    With the compiled tier, the whole tick is one C call on the arena
+    (:meth:`~repro.core.kernels.backends._FusedFixedMath.session_tick`);
+    without it, the NumPy tick runs the fused float64 step over the
+    gathered rows.  Raises :class:`~repro.core.kernels.backends.FusedOverflow`
+    (arena untouched) when an input window lies outside the exactness
     envelope (an imported checkpoint can carry any state) or a new cell
     crosses the guard; the manager then swaps in :class:`ReferenceStepper`
     and re-runs the tick on the same arena rows.
@@ -219,14 +343,19 @@ class FusedStepper:
         self.engine = engine
         self.math = fused_math
 
-    def step_rows(self, h: np.ndarray, c: np.ndarray, tokens: np.ndarray,
-                  done: np.ndarray) -> tuple:
+    def step_rows(self, arena: SessionArena, rows: np.ndarray,
+                  token_ids: np.ndarray) -> tuple:
         """Same contract as :meth:`ReferenceStepper.step_rows`."""
+        if self.math.accel_tier is not None:
+            return self.math.session_tick(arena, rows, token_ids)
+        return _numpy_tick(arena, rows, token_ids,
+                           self.engine.preprocess.run_batch, self._step)
+
+    def _step(self, h, c, embedded, done) -> tuple:
         fused = self.math
         if (np.abs(h).max() > fused.fscale
                 or np.abs(c).max() > fused.cell_limit):
             raise FusedOverflow
-        embedded = self.engine.preprocess.run_batch(tokens)
         new_h, new_c = fused.step_rows(
             h.astype(np.float64), c.astype(np.float64), embedded
         )
@@ -300,7 +429,6 @@ class SessionManager:
         # checkpoints: oldest first) that eviction and dropping follow.
         self._resident: collections.OrderedDict = collections.OrderedDict()
         self._checkpoints: collections.OrderedDict = collections.OrderedDict()
-        self._ring_offsets = np.arange(1 - self.ring_capacity, 1)
         self._empty_arena()
 
         self._checkpoint_bytes = 0
@@ -334,47 +462,8 @@ class SessionManager:
 
     def _empty_arena(self) -> None:
         """A fresh 16-row arena (also releases an emptied manager's memory)."""
-        rows = 16
-        self._free: list = []  # rows freed below the high-water mark
-        self._high_water = 0
-        self._calls = np.zeros(rows, dtype=np.int64)
-        self._flagged = np.zeros(rows, dtype=bool)
-        self._windows = np.zeros(rows, dtype=np.int64)
-        self._last_tick: list = [0] * rows  # read per key by the idle scan
-        self._h = np.zeros((rows, self.ring_capacity, self._hidden_size),
-                           dtype=self._dtype)
-        self._c = np.zeros_like(self._h)
-
-    def _grow(self) -> None:
-        """Double the arena."""
-        rows = len(self._calls)
-        for name in ("_calls", "_flagged", "_windows", "_h", "_c"):
-            old = getattr(self, name)
-            new = np.zeros((2 * rows,) + old.shape[1:], dtype=old.dtype)
-            new[:rows] = old
-            setattr(self, name, new)
-        self._last_tick.extend([0] * rows)
-
-    def _new_row(self, calls_seen: int = 0, flagged: bool = False,
-                 windows_classified: int = 0) -> int:
-        """A free row holding these columns (ring state is zeroed as windows open)."""
-        if self._free:
-            row = self._free.pop()
-        else:
-            if self._high_water == len(self._calls):
-                self._grow()
-            row = self._high_water
-            self._high_water += 1
-        self._calls[row] = calls_seen
-        self._flagged[row] = flagged
-        self._windows[row] = windows_classified
-        return row
-
-    def _slot_starts(self, calls_seen: int) -> range:
-        """Starts of the windows open after ``calls_seen`` tokens, oldest first."""
-        stride = self.config.stride
-        first = max(0, calls_seen - self.window_length + 1)
-        return range(-(-first // stride) * stride, calls_seen, stride)
+        self._arena = SessionArena(self.window_length, self.config.stride,
+                                   self._hidden_size, self._dtype)
 
     def _checkpoint_nbytes(self, calls_seen: list) -> int:
         """Checkpoint bytes of streams with these ``calls_seen``: their open windows."""
@@ -382,22 +471,23 @@ class SessionManager:
         reach = self.window_length - 1
         slots = 0
         for calls in calls_seen:
-            # len(self._slot_starts(calls)), inlined on this hot path.
+            # len(self._arena.slot_starts(calls)), inlined on this hot path.
             slots += (calls - 1) // stride - (max(calls - reach, 0) - 1) // stride
         return len(calls_seen) * SESSION_OVERHEAD_BYTES + slots * self._slot_bytes
 
     def _row_checkpoint(self, key, row: int) -> SessionCheckpoint:
-        calls = self._calls.item(row)
+        arena = self._arena
+        calls = arena.calls.item(row)
         slots = []
-        for start in self._slot_starts(calls):
-            ring = (start // self.config.stride) % self.ring_capacity
-            slots.append((start, calls - start, self._h[row, ring].copy(),
-                          self._c[row, ring].copy()))
+        for start in arena.slot_starts(calls):
+            ring = arena.ring_position(start)
+            slots.append((start, calls - start, arena.h[row, ring].copy(),
+                          arena.c[row, ring].copy()))
         return SessionCheckpoint(
             key=key,
             calls_seen=calls,
-            flagged=self._flagged.item(row),
-            windows_classified=self._windows.item(row),
+            flagged=arena.flagged.item(row),
+            windows_classified=arena.windows.item(row),
             slots=tuple(slots),
         )
 
@@ -467,11 +557,12 @@ class SessionManager:
         budget = self.config.checkpoint_budget_bytes
         if budget is None or self._checkpoint_bytes <= budget:
             return
+        arena = self._arena
         dropped = 0
         while self._checkpoint_bytes > budget and self._checkpoints:
             _, row = self._checkpoints.popitem(last=False)
-            self._checkpoint_bytes -= self._checkpoint_nbytes([self._calls.item(row)])
-            self._free.append(row)
+            self._checkpoint_bytes -= self._checkpoint_nbytes([arena.calls.item(row)])
+            arena.free.append(row)
             dropped += 1
         self._count_eviction(EVICT_CHECKPOINT_BUDGET, dropped)
 
@@ -484,7 +575,9 @@ class SessionManager:
             key, row = resident.popitem(last=False)
             checkpoints[key] = row
             rows.append(row)
-        self._checkpoint_bytes += self._checkpoint_nbytes(self._calls[rows].tolist())
+        self._checkpoint_bytes += self._checkpoint_nbytes(
+            self._arena.calls[rows].tolist()
+        )
         self._count_eviction(reason, count)
         self._drop_over_budget()
 
@@ -497,6 +590,8 @@ class SessionManager:
         """Arena rows of ``keys``, LRU-touched; restores or creates as needed."""
         resident = self._resident
         checkpoints = self._checkpoints
+        arena = self._arena
+        last_tick = arena.last_tick
         tick = self._tick
         rows = []
         restored = []
@@ -507,19 +602,19 @@ class SessionManager:
             else:
                 row = checkpoints.pop(key, None)
                 if row is None:
-                    row = self._new_row()
+                    row = arena.new_row()
                 else:
                     restored.append(row)
                 resident[key] = row
-            self._last_tick[row] = tick
+            last_tick[row] = tick
             rows.append(row)
         if restored:
             self._checkpoint_bytes -= self._checkpoint_nbytes(
-                self._calls[restored].tolist()
+                arena.calls[restored].tolist()
             )
             self._restores += len(restored)
             self._count("repro_session_restores_total", len(restored))
-        return np.array(rows, dtype=np.intp)
+        return np.array(rows, dtype=np.int64)
 
     def _enforce_budget(self) -> None:
         resident = self._resident
@@ -530,7 +625,7 @@ class SessionManager:
         if idle_after is not None:
             # Resident order is last-tick order: the idle rows are a prefix.
             horizon = self._tick - idle_after
-            last_tick = self._last_tick
+            last_tick = self._arena.last_tick
             idle = 0
             for row in resident.values():
                 if last_tick[row] > horizon:
@@ -551,8 +646,10 @@ class SessionManager:
         row = self._resident.pop(key, None)
         if row is None:
             row = self._checkpoints.pop(key)
-            self._checkpoint_bytes -= self._checkpoint_nbytes([self._calls.item(row)])
-        self._free.append(row)
+            self._checkpoint_bytes -= self._checkpoint_nbytes(
+                [self._arena.calls.item(row)]
+            )
+        self._arena.free.append(row)
         if not self._resident and not self._checkpoints:
             self._empty_arena()
 
@@ -597,7 +694,7 @@ class SessionManager:
         if [(start, filled, np.shape(hidden), np.shape(cell))
                 for start, filled, hidden, cell in slots] != [
             (start, calls - start, state, state)
-            for start in self._slot_starts(calls)
+            for start in self._arena.slot_starts(calls)
         ]:
             raise ValueError(
                 f"checkpoint of {key!r} does not match window "
@@ -605,12 +702,13 @@ class SessionManager:
             )
         if key in self._checkpoints:
             self._drop(key)
-        row = self._new_row(calls, checkpoint.flagged,
+        arena = self._arena
+        row = arena.new_row(calls, checkpoint.flagged,
                             checkpoint.windows_classified)
         for start, _, hidden, cell in slots:
-            ring = (start // self.config.stride) % self.ring_capacity
-            self._h[row, ring] = hidden
-            self._c[row, ring] = cell
+            ring = arena.ring_position(start)
+            arena.h[row, ring] = hidden
+            arena.c[row, ring] = cell
         self._checkpoints[key] = row
         self._checkpoint_bytes += self._checkpoint_nbytes([calls])
         self._drop_over_budget()
@@ -658,6 +756,11 @@ class SessionManager:
         list
             :class:`SessionVerdict` for every window completed this tick,
             in row order.
+
+        Raises
+        ------
+        ValueError
+            if a token id is outside the vocabulary; no stream advances.
         """
         self._tick += 1
         keys = list(tokens)
@@ -665,7 +768,7 @@ class SessionManager:
         token_ids = np.fromiter(tokens.values(), dtype=np.int64, count=len(keys))
         self._tokens += len(keys)
         if self.config.early_exit:
-            live = ~self._flagged[rows]
+            live = ~self._arena.flagged[rows]
             if not live.all():
                 self._tokens_dropped += len(keys) - int(np.count_nonzero(live))
                 keys = [key for key, keep in zip(keys, live) if keep]
@@ -683,57 +786,29 @@ class SessionManager:
 
     def _step_rows(self, keys: list, rows: np.ndarray,
                    token_ids: np.ndarray) -> tuple:
-        """Step every open window of ``rows`` by one token each.
-
-        Rows run stream-major, oldest window first (the reference row
-        order).  A window opens with zero state when ``calls_seen`` is a
-        multiple of ``stride`` and completes once it holds
-        ``window_length`` tokens.
-        """
-        stride = self.config.stride
-        window = self.window_length
-        ring_capacity = self.ring_capacity
-        calls = self._calls[rows]
-        # Per ring position, oldest window first: start // stride, fill.
-        index = (calls // stride)[:, None] + self._ring_offsets
-        filled = calls[:, None] - index * stride
-        live = (index >= 0) & (filled < window)
-        owner = np.nonzero(live)[0]
-        if not owner.size:
-            self._calls[rows] = calls + 1
-            return 0, []
-        filled = filled[live]
-        slots = ((rows * ring_capacity)[:, None] + index % ring_capacity)[live]
-        h_slots = self._h.reshape(-1, self._hidden_size)
-        c_slots = self._c.reshape(-1, self._hidden_size)
-        h = h_slots.take(slots, axis=0)
-        c = c_slots.take(slots, axis=0)
-        fresh = filled == 0
-        h[fresh] = 0
-        c[fresh] = 0
-        done = np.flatnonzero(filled == window - 1)
-        row_tokens = token_ids[owner]
+        """One stepper tick over ``rows``; the verdicts of completed windows."""
+        arena = self._arena
         try:
-            new_h, new_c, probabilities = self._stepper.step_rows(
-                h, c, row_tokens, done
+            stepped, done, probabilities = self._stepper.step_rows(
+                arena, rows, token_ids
             )
         except FusedOverflow:
             self._degrade(FALLBACK_OVERFLOW_GUARD)
-            new_h, new_c, probabilities = self._stepper.step_rows(
-                h, c, row_tokens, done
+            stepped, done, probabilities = self._stepper.step_rows(
+                arena, rows, token_ids
             )
-        h_slots[slots] = new_h
-        c_slots[slots] = new_c
-        self._calls[rows] = calls + 1
-        self._slot_steps += len(owner)
-        verdicts = []
-        for i, probability in zip(done.tolist(), probabilities):
-            stream = owner[i]
-            verdicts.append(self._complete_window(
-                keys[stream], rows[stream], int(calls[stream]) - (window - 1),
-                float(probability),
-            ))
-        return len(owner), verdicts
+        self._slot_steps += stepped
+        if not len(done):
+            return stepped, []
+        done_rows = rows[done]
+        starts = arena.calls[done_rows] - self.window_length
+        return stepped, [
+            self._complete_window(keys[stream], row, start, probability)
+            for stream, row, start, probability in zip(
+                done.tolist(), done_rows.tolist(), starts.tolist(),
+                probabilities.tolist(),
+            )
+        ]
 
     def _complete_window(self, key, row: int, start: int,
                          probability: float) -> SessionVerdict:
@@ -744,12 +819,13 @@ class SessionManager:
             is_ransomware=probability >= self.config.threshold,
             inference_microseconds=self._sequence_microseconds,
         )
-        self._windows[row] += 1
+        arena = self._arena
+        arena.windows[row] += 1
         label = "ransomware" if verdict.is_ransomware else "benign"
         self._verdicts[label] += 1
         self._count("repro_session_verdicts_total", verdict=label)
-        if verdict.is_ransomware and not self._flagged[row]:
-            self._flagged[row] = True
+        if verdict.is_ransomware and not arena.flagged[row]:
+            arena.flagged[row] = True
             if self.config.early_exit:
                 self._early_exits += 1
                 self._count("repro_session_early_exits_total")

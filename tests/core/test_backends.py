@@ -17,6 +17,7 @@ import pytest
 
 from repro import cbuild
 from repro.core import sessions as sessions_mod
+from repro.core.kernels import backends as backends_mod
 from repro.core.config import EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine
 from repro.core.kernels.backends import (
@@ -181,7 +182,7 @@ class TestSessionParity:
 
 class TestDegradation:
     def test_mid_run_overflow_degrades_to_reference(self, monkeypatch):
-        """An injected ``FusedOverflow`` mid-stream converts state to the
+        """An injected ``FusedOverflow`` mid-stream hands the tick to the
         reference stepper exactly: the verdict stream is unchanged and
         the fallback is counted under ``overflow_guard``."""
         engine = engine_for(OptimizationLevel.FIXED_POINT)
@@ -195,16 +196,18 @@ class TestDegradation:
 
         fused = SessionManager(engine, config, backend="fused")
         original = sessions_mod.FusedStepper.step_rows
-        calls = {"fused": 0}
+        calls = {"fused": 0, "injected": 0}
 
         def flaky(self, *args):
             calls["fused"] += 1
             if fused.stats()["steps"] == WINDOW + 2:
+                calls["injected"] += 1
                 raise FusedOverflow("injected")
             return original(self, *args)
 
         monkeypatch.setattr(sessions_mod.FusedStepper, "step_rows", flaky)
         got = manager_verdicts(fused, keys, tokens)
+        assert calls["injected"] == 1
         assert want and got == want
         stats = fused.stats()
         assert stats["backend_fallbacks"].get(FALLBACK_OVERFLOW_GUARD) == 1
@@ -244,6 +247,114 @@ class TestDegradation:
             ]
         assert got["reference"] and got["fused"] == got["reference"]
         assert target.stats()["backend_fallbacks"] == {FALLBACK_OVERFLOW_GUARD: 1}
+
+    def test_real_cell_overflow_leaves_arena_untouched(self, monkeypatch):
+        """A new cell that really crosses the guard (an imported
+        checkpoint near the limit, forget and input gates saturated)
+        makes the fused tick write nothing: the reference re-run starts
+        from the same arena bytes and ``calls_seen``, the fallback is
+        counted, and every verdict matches the reference manager and,
+        for the untouched windows, ``infer_batch``."""
+        hot = HostWeights(
+            _WEIGHTS.embedding,
+            {name: dataclasses.replace(
+                gate, bias=gate.bias + (12.0 if name in ("i", "f", "c") else 0.0)
+            ) for name, gate in _WEIGHTS.gates.items()},
+            _WEIGHTS.fc_weights, _WEIGHTS.fc_bias,
+        )
+        config = EngineConfig(
+            dimensions=dataclasses.replace(hot.dimensions, sequence_length=WINDOW),
+            optimization=OptimizationLevel.FIXED_POINT,
+            backend="reference",
+        )
+        engine = CSDInferenceEngine(config, hot)
+        rng = np.random.default_rng(43)
+        tokens = rng.integers(0, VOCAB, size=3 * WINDOW)
+        split = WINDOW + 1
+        session_config = SessionConfig(stride=2)
+        source = SessionManager(engine, session_config)
+        for token in tokens[:split]:
+            source.observe("p", int(token))
+        checkpoint = source.export_checkpoint("p")
+
+        fused = SessionManager(engine, session_config, backend="fused")
+        fused_math = fused.backend.fused_math
+        assert fused.backend.accel_tier in (None, "cc")
+        # The oldest window completes on the next token, from a cell a
+        # quarter of a unit under the guard: it must cross it.
+        start, filled, hidden, cell = checkpoint.slots[0]
+        near = np.full_like(cell, int(fused_math.cell_limit) - fused_math.scale // 4)
+        near_limit = dataclasses.replace(checkpoint, slots=(
+            (start, filled, hidden, near),
+        ) + checkpoint.slots[1:])
+
+        arenas, raised = [], []
+        fused_step = sessions_mod.FusedStepper.step_rows
+        reference_step = sessions_mod.ReferenceStepper.step_rows
+
+        def fused_spy(self, arena, *args):
+            arenas.append((arena.calls.copy(), arena.h.copy(), arena.c.copy()))
+            try:
+                return fused_step(self, arena, *args)
+            except FusedOverflow:
+                raised.append(True)
+                raise
+
+        def reference_spy(self, arena, *args):
+            arenas.append((arena.calls.copy(), arena.h.copy(), arena.c.copy()))
+            return reference_step(self, arena, *args)
+
+        monkeypatch.setattr(sessions_mod.FusedStepper, "step_rows", fused_spy)
+        monkeypatch.setattr(sessions_mod.ReferenceStepper, "step_rows",
+                            reference_spy)
+        got = {}
+        for manager in (fused, SessionManager(engine, session_config)):
+            manager.import_checkpoint(near_limit)
+            got[manager.backend.name] = [
+                (v.window_index, v.probability)
+                for t in tokens[split:] for v in [manager.observe("p", int(t))]
+                if v is not None
+            ]
+        assert raised == [True]
+        before, rerun = arenas[0], arenas[1]
+        for was, now in zip(before, rerun):
+            np.testing.assert_array_equal(now, was)
+        assert fused.stats()["backend_fallbacks"] == {FALLBACK_OVERFLOW_GUARD: 1}
+        assert got["fused"] and got["fused"] == got["reference"]
+        assert got["fused"][0][0] == start
+        untouched = [(index, p) for index, p in got["fused"] if index > start]
+        windows = np.array([tokens[i:i + WINDOW] for i, _ in untouched])
+        np.testing.assert_array_equal(
+            [p for _, p in untouched], engine.infer_batch(windows).probabilities
+        )
+
+    def test_bad_token_raises_same_error_on_both_steppers(self):
+        """An out-of-range token raises the embedding kernel's
+        ``ValueError`` through ``SessionManager.step`` on the fused and
+        the reference manager alike, with no stream advanced and no
+        fallback counted."""
+        engine = engine_for(OptimizationLevel.FIXED_POINT)
+        tokens = np.random.default_rng(47).integers(0, VOCAB, size=WINDOW)
+        errors = {}
+        for backend in ("reference", "fused"):
+            manager = SessionManager(engine, SessionConfig(stride=2),
+                                     backend=backend)
+            for token in tokens:
+                manager.step({"p": int(token), "q": int(token)})
+            before = [manager.export_checkpoint(key) for key in ("p", "q")]
+            with pytest.raises(ValueError) as raised:
+                manager.step({"p": 5, "q": VOCAB + 3})
+            errors[backend] = str(raised.value)
+            after = [manager.export_checkpoint(key) for key in ("p", "q")]
+            assert [cp.calls_seen for cp in after] == [WINDOW, WINDOW]
+            for was, now in zip(before, after):
+                assert [(s, f, h.tolist(), c.tolist()) for s, f, h, c in now.slots] == [
+                    (s, f, h.tolist(), c.tolist()) for s, f, h, c in was.slots
+                ]
+            assert manager.stats()["backend_fallbacks"] == {}
+        assert errors["fused"] == errors["reference"] == (
+            f"token id {VOCAB + 3} out of range [0, {VOCAB})"
+        )
 
     def test_fallbacks_and_ticks_are_observable(self):
         from repro.telemetry import Telemetry
@@ -298,12 +409,14 @@ class TestCompiledTier:
 
         monkeypatch.setattr(cbuild, "_LIBRARIES", {})
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        step = _build_cc_step(4, 10**6, 1e-7)
+        step, _ = _build_cc_step(4, 2, 10**6, 1e-7)
         assert _build_cc_train_steps(4) is not None
         assert list(tmp_path.iterdir()) == []
         # The loaded library outlives its deleted build directory.
+        pre, bias, c = np.zeros((1, 16)), np.zeros(16), np.zeros((1, 4))
         out_h, out_c = np.empty((1, 4)), np.empty((1, 4))
-        step(np.zeros((1, 16)), np.zeros(16), np.zeros((1, 4)), out_h, out_c)
+        step(pre.ctypes.data, bias.ctypes.data, c.ctypes.data,
+             out_h.ctypes.data, out_c.ctypes.data, 1)
         assert out_h.tolist() == [[0.0] * 4]
 
     @compiler_required
@@ -311,6 +424,37 @@ class TestCompiledTier:
         backend = build_engine(OptimizationLevel.FIXED_POINT).step_backend
         assert backend.accel_tier == "cc"
         assert backend.fallback_reasons == {}
+
+    @compiler_required
+    def test_broken_session_tick_fails_self_check(self, monkeypatch):
+        """A compiled tick that reads stale ring state into fresh windows
+        fails the build-time self-check: the C tier is dropped
+        (``jit_error``) and the NumPy rung's sessions stay bit-exact."""
+        render = backends_mod._render_cc_step
+        correct = "const int64_t keep = !fresh[w];"
+
+        def broken(*args):
+            source = render(*args)
+            assert correct in source
+            return source.replace(correct, "const int64_t keep = 1;")
+
+        monkeypatch.setattr(cbuild, "_LIBRARIES", {})
+        monkeypatch.setattr(backends_mod, "_render_cc_step", broken)
+        level = OptimizationLevel.FIXED_POINT
+        engine = build_engine(level)
+        backend = engine.step_backend
+        assert backend.accel_tier is None
+        assert backend.fallback_reasons == {FALLBACK_JIT_ERROR: 1}
+        rng = np.random.default_rng(53)
+        keys = [f"s{i}" for i in range(4)]
+        tokens = rng.integers(0, VOCAB, size=(4, 3 * WINDOW))
+        config = SessionConfig(stride=3, max_resident_sessions=2)
+        want = manager_verdicts(
+            SessionManager(engine_for(level), config, backend="reference"),
+            keys, tokens,
+        )
+        got = manager_verdicts(SessionManager(engine, config), keys, tokens)
+        assert want and got == want
 
     def test_missing_compiler_is_counted_and_stays_exact(self, monkeypatch):
         monkeypatch.setattr(cbuild, "_LIBRARIES", {})

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import sessions as sessions_mod
 from repro.core.config import EngineConfig, OptimizationLevel
 from repro.core.engine import CSDInferenceEngine
-from repro.core.kernels.backends import FusedOverflow
+from repro.core.kernels.backends import FALLBACK_OVERFLOW_GUARD, FusedOverflow
 from repro.core.sessions import SessionConfig, SessionManager
 from repro.core.weights import HostWeights
 from repro.nn.model import SequenceClassifier
@@ -92,10 +92,14 @@ def run_schedule(window, config, ticks, moves, overflow_at, backends):
     log, windows = [], []
     original = sessions_mod.FusedStepper.step_rows
     fused_calls = [0]
+    injected = []
+    fused_backend = engine_for(window, "fused").step_backend
+    degrades = fused_backend.fallback_reasons.get(FALLBACK_OVERFLOW_GUARD, 0)
 
     def flaky(self, *args):
         fused_calls[0] += 1
         if fused_calls[0] == overflow_at:
+            injected.append(fused_calls[0])
             raise FusedOverflow("injected")
         return original(self, *args)
 
@@ -141,6 +145,12 @@ def run_schedule(window, config, ticks, moves, overflow_at, backends):
                 log.append([(index, v.session, v.window_index, v.probability,
                              v.is_ransomware) for v in verdicts])
             forget_dropped()
+
+    # The injection fired on the call the manager makes each tick, and
+    # the manager counted that one degradation.
+    assert len(injected) == (0 < overflow_at <= fused_calls[0])
+    assert fused_backend.fallback_reasons.get(
+        FALLBACK_OVERFLOW_GUARD, 0) - degrades == len(injected)
 
     stats = []
     checkpoints = []
