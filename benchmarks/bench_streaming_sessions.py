@@ -380,9 +380,10 @@ def main(argv=None) -> int:
                         default=None, metavar="X",
                         help="like --assert-backend-speedup, but enforced "
                              "only when the compiled C tier is "
-                             "active; on the pure-NumPy fallback the run "
-                             "must still be bit-exact but speed is not "
-                             "gated (the graceful-degradation contract)")
+                             "active; without it the fused backend runs "
+                             "reference math, which must still be "
+                             "bit-exact but whose speed is not gated "
+                             "(the graceful-degradation contract)")
     parser.add_argument("--output", default=DEFAULT_OUTPUT,
                         help=f"JSON result path (default {DEFAULT_OUTPUT})")
     parser.add_argument("--seed", type=int, default=0)

@@ -9,8 +9,8 @@ backends (the registry's core contract), and writes
 
 The speedup is honest about the host: on a machine with a working C
 toolchain the fused backend runs its compiled step loops and
-the ``--assert-backend-speedup-if-accelerated`` gate applies; on a
-NumPy-only host it falls back to the vectorised rung (counted in
+the ``--assert-backend-speedup-if-accelerated`` gate applies; on a host
+without one it trains on the reference path (counted in
 ``repro_train_backend_fallback_total``) and the gate is skipped.
 
 Two entry points:
@@ -124,7 +124,7 @@ def _report_lines(document: dict) -> list:
         f"{document['epochs']} epochs (batch {document['batch_size']})",
     ]
     for row in document["results"]:
-        tier = row["accel_tier"] or "numpy"
+        tier = row["accel_tier"] or "reference"
         lines.append(
             f"backend {row['backend']:>9s} [{tier:>5s}]: "
             f"{row['seconds']:6.2f}s  {row['batches_per_second']:6.1f} batch/s  "

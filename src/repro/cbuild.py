@@ -25,6 +25,13 @@ import shutil
 import subprocess
 import tempfile
 
+#: Fallback reasons both fused backends count (``reason`` label values of
+#: their ``*_backend_fallback_total`` metrics); either way reference math
+#: runs.  No compiled tier could be built:
+FALLBACK_JIT_ERROR = "jit_error"
+#: The compiled tier was built but its self-check rejected it:
+FALLBACK_SELF_CHECK = "self_check_failed"
+
 #: Flags that keep compiled float arithmetic bit-equal to NumPy's.
 EXACT_FLAGS = ("-ffp-contract=off", "-fno-math-errno", "-fno-trapping-math")
 
@@ -43,8 +50,8 @@ def load_c_library(source: str):
     """Compile ``source`` into a shared object and load it, or ``None``.
 
     Any failure — no compiler, a compile error on every rung, a load
-    error — returns ``None`` so the caller can run its NumPy
-    formulation instead.
+    error — returns ``None``; the caller then records
+    ``FALLBACK_JIT_ERROR`` and runs its reference math.
     """
     if source in _LIBRARIES:
         return _LIBRARIES[source]

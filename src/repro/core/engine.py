@@ -296,18 +296,12 @@ class CSDInferenceEngine:
             self._step_backend = resolve_backend(self.config.backend, self)
         return self._step_backend
 
-    def _initial_hidden(self, batch_size: int | None = None) -> np.ndarray:
-        hidden = self.config.dimensions.hidden_size
-        dtype = np.int64 if self.config.optimization.uses_fixed_point else np.float64
-        shape = hidden if batch_size is None else (batch_size, hidden)
-        return np.zeros(shape, dtype=dtype)
-
     def infer_sequence(self, token_ids) -> InferenceResult:
         """Classify one sequence, returning probability and timing.
 
-        Delegates to :meth:`infer_batch` with a batch of one; the batched
-        kernels are bit-exact with the historical per-token loop at every
-        optimisation level (see ``tests/core/test_batch_parity.py``).
+        Delegates to :meth:`infer_batch` with a batch of one; each row of
+        a batch is bit-exact with the same sequence classified alone at
+        every optimisation level (see ``tests/core/test_batch_parity.py``).
 
         Parameters
         ----------
@@ -367,13 +361,14 @@ class CSDInferenceEngine:
                 backend.record_fallback(FALLBACK_OVERFLOW_GUARD)
                 predictions = None
         if predictions is None:
-            self.hidden_state.reset(batch_size=batch.shape[0])
-            hidden_prev = self._initial_hidden(batch_size=batch.shape[0])
+            dtype = np.int64 if self.config.optimization.uses_fixed_point else np.float64
+            hidden = np.zeros((batch.shape[0], self.config.dimensions.hidden_size),
+                              dtype=dtype)
+            cell = hidden
             for step in range(expected):
-                gate_outputs = self.gates.run_batch(hidden_prev, embedded[:, step, :])
-                hidden_prev, predictions = self.hidden_state.run_batch(gate_outputs)
-            if predictions is None:
-                raise AssertionError("batch completed without classifications")
+                gate_outputs = self.gates.run_batch(hidden, embedded[:, step, :])
+                hidden, cell = self.hidden_state.step_batch(gate_outputs, cell)
+            predictions = self.hidden_state.classify_batch(hidden)
 
         timing = build_inference_timing(
             self.config,

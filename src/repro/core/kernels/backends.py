@@ -17,10 +17,10 @@ state, calling three kernels and scattering the result
   stacked gate matmul, the rescale, PLAN sigmoid/softsign activations and
   cell/hidden update, and only then scatters the new state, advances
   ``calls_seen`` and classifies the completed windows.  The kernel is
-  built once per model shape with the system compiler; without one, a
-  vectorised NumPy formulation of the same arithmetic runs over gathered
-  rows (still fused, still bit-exact).  Whole-batch inference keeps its
-  BLAS matmul and calls the compiled element-wise chain per timestep.
+  built once per model shape with the system compiler; without one the
+  engine runs the reference kernels (counted as ``jit_error``).
+  Whole-batch inference keeps its BLAS matmul and calls the compiled
+  element-wise chain per timestep.
   The float levels keep the reference kernels for the math (their
   ``np.sum`` pairwise reduction is the batch-stability contract).
 
@@ -42,24 +42,26 @@ the bounds the backend degrades to ``reference`` — gracefully and
 in-process, exactly like ``parallel.py``'s pool fallback — counted by
 ``repro_backend_fallback_total{reason=...}``.
 
-On top of the self-check probe run at construction (the fused step and
-the compiled session tick are compared against the reference kernels on
-an adversarial batch and adversarial arenas before they are ever
-trusted; once per compiled source and model for engines sharing one
-``HostWeights``), this makes "bit-exact" a *verified* property on every
-host, not an assumption.
+On top of the self-check probe run at construction (the compiled chain
+and session tick are compared against the reference kernels on an
+adversarial batch, the rescale's half-exact edges and adversarial arenas
+before they are ever trusted; once per compiled source and model for
+engines sharing one ``HostWeights``), this makes "bit-exact" a
+*verified* property on every host, not an assumption.
 
 Fallback reasons
 ----------------
+Each is counted once, when the backend is built, except
+``overflow_guard``, which is counted per degraded call.
+
 ``jit_error``
-    the C kernels could not be built, or the step or the session tick
-    failed the self-check; the NumPy fused path runs instead (still
-    fused, still fast — a degradation of degree only).
+    no compiled tier could be built (no C compiler, or every rung of
+    the compile ladder failed); reference math.
 ``unsafe_bounds``
     the model/scale violates a static exactness bound; reference math.
 ``self_check_failed``
-    the build-time probe found a mismatch vs the reference kernels on
-    this host; reference math.
+    the compiled tier was rejected: the build-time probe found a
+    mismatch vs the reference kernels on this host; reference math.
 ``overflow_guard``
     a state magnitude crossed the runtime guard mid-run; nothing was
     written, and the session manager re-runs the tick on reference math
@@ -78,7 +80,7 @@ import weakref
 
 import numpy as np
 
-from repro.cbuild import load_c_library
+from repro.cbuild import FALLBACK_JIT_ERROR, FALLBACK_SELF_CHECK, load_c_library
 from repro.core.kernels.preprocess import token_range_error
 # DEFAULT_BACKEND lives beside EngineConfig.backend, its one consumer;
 # it is re-exported here with the registry it names.
@@ -88,10 +90,9 @@ from repro.core.config import DEFAULT_BACKEND, GATE_NAMES  # noqa: F401
 METRIC_FALLBACK = "repro_backend_fallback_total"
 METRIC_TICKS = "repro_backend_ticks_total"
 
-#: ``repro_backend_fallback_total``'s ``reason`` label values.
-FALLBACK_JIT_ERROR = "jit_error"
+#: ``repro_backend_fallback_total``'s ``reason`` label values (with
+#: ``FALLBACK_JIT_ERROR`` and ``FALLBACK_SELF_CHECK`` from ``repro.cbuild``).
 FALLBACK_UNSAFE_BOUNDS = "unsafe_bounds"
-FALLBACK_SELF_CHECK = "self_check_failed"
 FALLBACK_OVERFLOW_GUARD = "overflow_guard"
 
 #: Safety margin for the fused matmul rescale-by-inverse: quotients up to
@@ -193,12 +194,14 @@ class KernelBackend:
 
 
 class _FusedFixedMath:
-    """The fused fixed-point math: the session tick, the step over
-    ``(n, H)`` float64 rows, and whole-batch inference.
+    """The fused fixed-point math: the compiled session tick, the compiled
+    element-wise chain, and whole-batch inference.
 
     All quantities are exact integers carried in float64; see the module
-    docstring for why the operation set below is bit-equal to the int64
-    reference kernels inside the statically-checked bounds.
+    docstring for why the compiled operation set is bit-equal to the int64
+    reference kernels inside the statically-checked bounds.  Raises
+    :class:`FusedUnavailable` when the bounds fail (``unsafe_bounds``) or
+    the C kernels cannot be built (``jit_error``).
     """
 
     def __init__(self, engine):
@@ -211,11 +214,7 @@ class _FusedFixedMath:
         dims = config.dimensions
         self.hidden_size = dims.hidden_size
         self.fan_in = dims.gate_input_size
-        fmt = quantized.fmt
-        self.scale = int(fmt.scale)
-        self.fscale = float(self.scale)
-        self.half = float(self.scale // 2)
-        self.inv_scale = 1.0 / self.fscale
+        self.scale = int(quantized.fmt.scale)
 
         stacked = np.concatenate(
             [quantized.gates[g].matrix for g in GATE_NAMES], axis=0
@@ -229,39 +228,31 @@ class _FusedFixedMath:
         self._check_static_bounds(engine)
         table = engine.preprocess._embedding_fixed
         self.table = np.ascontiguousarray(table, dtype=np.float64)    # (V, E)
+        self._classify = engine.hidden_state.classify_batch
 
-        # PLAN sigmoid constants (power-of-two slopes; exact products).
-        s = self.fscale
-        self.q1, self.q2, self.q3 = s, 2.375 * s, 5.0 * s
-        self.i1, self.i2, self.i3 = 0.5 * s, 0.625 * s, 0.84375 * s
-        f32 = np.float32
-        self.f32_q1, self.f32_q2, self.f32_q3 = f32(self.q1), f32(self.q2), f32(self.q3)
-        self.f32_i1, self.f32_i2, self.f32_i3 = f32(self.i1), f32(self.i2), f32(self.i3)
-        self.f32_one, self.f32_half = f32(s), f32(self.half)
-
-        self._concat: dict = {}  # batch size -> (n, F) work buffer
-        self._jit = self._tick = None
-        self.accel_tier = None
         kernels = _build_cc_step(
             self.hidden_size, dims.embedding_dim, self.scale, _INV_RESCALE_EPS
         )
-        if kernels is not None:
-            self._jit, self._tick = kernels
-            self.accel_tier = "cc"
-            self._bias_ptr = self.bias.ctypes.data
-            self._model = _TickModel(
-                self.table.ctypes.data, self.W_T.ctypes.data,
-                self._bias_ptr, self.fc_w.ctypes.data, self.fc_bias,
-                self.table.shape[0], self.scale, int(self.cell_limit),
+        if kernels is None:
+            raise FusedUnavailable(
+                FALLBACK_JIT_ERROR, "the fused C kernels could not be built"
             )
-            self._model_ptr = ctypes.addressof(self._model)
-            self._tick_capacity = 0   # window rows the tick buffers hold
-            self._grow_tick_buffers(64)
+        self._jit, self._tick = kernels
+        self._bias_ptr = self.bias.ctypes.data
+        self._model = _TickModel(
+            self.table.ctypes.data, self.W_T.ctypes.data,
+            self._bias_ptr, self.fc_w.ctypes.data, self.fc_bias,
+            self.table.shape[0], self.scale, int(self.cell_limit),
+        )
+        self._model_ptr = ctypes.addressof(self._model)
+        self._tick_capacity = 0   # window rows the tick buffers hold
+        self._grow_tick_buffers(64)
 
     # -- static exactness screen ---------------------------------------
 
     def _check_static_bounds(self, engine) -> None:
         scale = self.scale
+        half = float(scale // 2)
         two52 = float(2**52)
         if scale % 32 != 0 or scale > 2**21:
             raise FusedUnavailable(
@@ -281,10 +272,10 @@ class _FusedFixedMath:
             np.max(np.abs(self.fc_w)) if self.fc_w.size else 0.0
         )
         if (
-            acc_bound + self.half >= 0.5 * two52
+            acc_bound + half >= 0.5 * two52
             or quotient_bound > _MAX_INV_RESCALE_QUOTIENT
             or pre_bound * scale >= two52
-            or fc_acc_bound + self.half >= 0.5 * two52
+            or fc_acc_bound + half >= 0.5 * two52
         ):
             raise FusedUnavailable(
                 FALLBACK_UNSAFE_BOUNDS,
@@ -296,155 +287,45 @@ class _FusedFixedMath:
         # division stays provably exact in float64.
         self.cell_limit = float(min(2**31, 2**51 // scale))
 
-    # -- primitive ops (each bit-equal to its int64 reference op) ------
+    # -- the compiled kernels ------------------------------------------
 
-    def _frdiv_inv(self, x: np.ndarray) -> np.ndarray:
-        """Rescale by multiply-with-inverse (matmul results only).
+    def chain(self, pre: np.ndarray, c: np.ndarray) -> tuple:
+        """The compiled element-wise chain over ``n`` rows.
 
-        Valid for quotients up to ``_MAX_INV_RESCALE_QUOTIENT`` (screened
-        statically): the epsilon nudge absorbs the inverse-multiply
-        rounding without ever crossing a 1/scale boundary gap.
-        """
-        t = np.abs(x)
-        t += self.half
-        t *= self.inv_scale
-        t += _INV_RESCALE_EPS
-        np.floor(t, out=t)
-        return np.copysign(t, x, out=t)
-
-    def _frdiv_div(self, x: np.ndarray) -> np.ndarray:
-        """Rescale with true division (state products, FC head)."""
-        t = np.abs(x)
-        t += self.half
-        t /= self.fscale
-        np.floor(t, out=t)
-        return np.copysign(t, x, out=t)
-
-    def _sigmoid_f32(self, x: np.ndarray) -> np.ndarray:
-        """PLAN sigmoid in float32 (gate pre-activations are f32-exact)."""
-        x32 = x.astype(np.float32)
-        mag = np.abs(x32)
-        f32 = np.float32
-        s1 = np.floor(mag * f32(0.25) + f32(0.5)) + self.f32_i1
-        s2 = np.floor(mag * f32(0.125) + f32(0.5)) + self.f32_i2
-        s3 = np.floor(mag * f32(0.03125) + f32(0.5)) + self.f32_i3
-        res = np.where(
-            mag < self.f32_q1, s1,
-            np.where(mag < self.f32_q2, s2,
-                     np.where(mag < self.f32_q3, s3, self.f32_one)),
-        )
-        res = np.where(x32 < 0, self.f32_one - res, res)
-        return np.where(x32 == 0, self.f32_half, res)
-
-    def _sigmoid_f64(self, x: np.ndarray) -> np.ndarray:
-        """PLAN sigmoid in float64 (FC head)."""
-        mag = np.abs(x)
-        s1 = np.floor(mag * 0.25 + 0.5) + self.i1
-        s2 = np.floor(mag * 0.125 + 0.5) + self.i2
-        s3 = np.floor(mag * 0.03125 + 0.5) + self.i3
-        res = np.where(
-            mag < self.q1, s1,
-            np.where(mag < self.q2, s2, np.where(mag < self.q3, s3, self.fscale)),
-        )
-        res = np.where(x < 0, self.fscale - res, res)
-        return np.where(x == 0, self.half, res)
-
-    def _softsign(self, x: np.ndarray) -> np.ndarray:
-        """Fixed-point softsign ``x*S / (|x| + S)`` with remainder rounding."""
-        num = x * self.fscale
-        den = np.abs(x) + self.fscale
-        mag = np.abs(num)
-        quotient = np.floor(mag / den)
-        remainder = mag - quotient * den
-        quotient += remainder >= den - np.floor(den * 0.5)
-        return np.copysign(quotient, x)
-
-    # -- the fused tick ------------------------------------------------
-
-    def _concat_buffer(self, n: int) -> np.ndarray:
-        buffer = self._concat.get(n)
-        if buffer is None:
-            if len(self._concat) > 16:
-                self._concat.clear()
-            buffer = np.empty((n, self.fan_in), dtype=np.float64)
-            self._concat[n] = buffer
-        return buffer
-
-    def step_rows(self, h: np.ndarray, c: np.ndarray,
-                  x_rows: np.ndarray) -> tuple:
-        """One LSTM step over ``(n, H)`` state rows.
-
-        Parameters
-        ----------
-        h, c:
-            Hidden/cell rows, float64 ``(n, H)`` exact integers.
-        x_rows:
-            Embedded tokens, int64 ``(n, E)`` (one row per state row).
-
-        Returns
-        -------
-        tuple
-            ``(new_h, new_c)`` — fresh float64 ``(n, H)`` arrays.
+        ``pre`` holds the raw ``(n, 4H)`` gate sums (scale**2 products,
+        before the rescale and bias) and ``c`` the ``(n, H)`` cell rows,
+        both float64 exact integers.  Returns fresh float64
+        ``(new_h, new_c)``.
 
         Raises
         ------
         FusedOverflow
-            if any new cell magnitude crosses the exactness guard; the
-            inputs are left unmodified so the caller can re-run the tick
-            on the reference path.
+            if any new cell magnitude crosses the exactness guard.
         """
-        H = self.hidden_size
-        n = h.shape[0]
-        concat = self._concat_buffer(n)
-        concat[:, :H] = h
-        concat[:, H:] = x_rows
-        pre = concat @ self.W_T                        # raw scale**2 products
-        if self._jit is not None:
-            out_h = np.empty((n, H), dtype=np.float64)
-            out_c = np.empty((n, H), dtype=np.float64)
-            c = np.ascontiguousarray(c)
-            max_cell = self._jit(
-                pre.ctypes.data, self._bias_ptr, c.ctypes.data,
-                out_h.ctypes.data, out_c.ctypes.data, n,
-            )
-            if max_cell > self.cell_limit:
-                raise FusedOverflow
-            return out_h, out_c
-        pre = self._frdiv_inv(pre)
-        pre += self.bias
-        act = self._sigmoid_f32(pre[:, : 3 * H])       # i/f/o gates, f32 ints
-        c_bar = self._softsign(pre[:, 3 * H:])
-        new_c = self._frdiv_div(act[:, H: 2 * H] * c)
-        new_c += self._frdiv_div(act[:, :H] * c_bar)
-        if float(np.max(np.abs(new_c), initial=0.0)) > self.cell_limit:
+        n = pre.shape[0]
+        pre = np.ascontiguousarray(pre, dtype=np.float64)
+        c = np.ascontiguousarray(c, dtype=np.float64)
+        out_h = np.empty((n, self.hidden_size), dtype=np.float64)
+        out_c = np.empty((n, self.hidden_size), dtype=np.float64)
+        max_cell = self._jit(pre.ctypes.data, self._bias_ptr, c.ctypes.data,
+                             out_h.ctypes.data, out_c.ctypes.data, n)
+        if max_cell > self.cell_limit:
             raise FusedOverflow
-        new_h = self._frdiv_div(act[:, 2 * H:] * self._softsign(new_c))
-        return new_h, new_c
-
-    def classify_rows(self, h: np.ndarray) -> np.ndarray:
-        """FC head + PLAN sigmoid over ``(n, H)`` hidden rows."""
-        logits = self._frdiv_div(h @ self.fc_w)
-        logits += self.fc_bias
-        return self._sigmoid_f64(logits) / self.fscale
+        return out_h, out_c
 
     def infer_probabilities(self, embedded: np.ndarray) -> np.ndarray:
         """Whole-sequence probabilities for an ``(N, T, E)`` embedded batch.
 
-        The compiled tier keeps BLAS for the matmul and calls the C chain
-        per timestep, ping-ponging between two state buffers allocated
-        once per batch, on pointers looked up once per batch.
+        Keeps BLAS for the matmul and calls the C chain per timestep,
+        ping-ponging between two state buffers allocated once per batch,
+        on pointers looked up once per batch.  The FC head is the
+        oracle's ``classify_batch`` on the final int64 hidden rows.
         """
         n, steps, _ = embedded.shape
         H = self.hidden_size
-        if self._jit is None:
-            h = np.zeros((n, H), dtype=np.float64)
-            c = np.zeros((n, H), dtype=np.float64)
-            for step in range(steps):
-                h, c = self.step_rows(h, c, embedded[:, step, :])
-            return self.classify_rows(h)
         hidden = np.zeros((2, n, H), dtype=np.float64)
         cell = np.zeros((2, n, H), dtype=np.float64)
-        concat = self._concat_buffer(n)
+        concat = np.empty((n, self.fan_in), dtype=np.float64)
         pre = np.empty((n, 4 * H), dtype=np.float64)
         h_ptrs = (hidden[0].ctypes.data, hidden[1].ctypes.data)
         c_ptrs = (cell[0].ctypes.data, cell[1].ctypes.data)
@@ -459,7 +340,7 @@ class _FusedFixedMath:
                                  h_ptrs[dst], c_ptrs[dst], n)
             if max_cell > self.cell_limit:
                 raise FusedOverflow
-        return self.classify_rows(hidden[steps & 1])
+        return self._classify(hidden[steps & 1].astype(np.int64))
 
     def session_tick(self, arena, rows: np.ndarray,
                      token_ids: np.ndarray) -> tuple:
@@ -508,23 +389,17 @@ class _FusedFixedMath:
 
     def self_check_key(self) -> bytes:
         """Digest of what the self-check's verdict depends on: the C
-        source of the compiled tier (none on the NumPy rung), the scale
-        and every weight the fused math reads."""
+        source of the compiled tier, the scale and every weight the fused
+        math reads."""
         digest = hashlib.sha256()
-        if self._jit is not None:
-            digest.update(_render_cc_step(
-                self.hidden_size, self.table.shape[1], self.scale,
-                _INV_RESCALE_EPS,
-            ).encode())
+        digest.update(_render_cc_step(
+            self.hidden_size, self.table.shape[1], self.scale,
+            _INV_RESCALE_EPS,
+        ).encode())
         digest.update(repr((self.scale, self.fc_bias)).encode())
         for array in (self.W_T, self.bias, self.fc_w, self.table):
             digest.update(array.tobytes())
         return digest.digest()
-
-    def disable_jit(self) -> None:
-        """Drop the compiled tier (step and tick); the NumPy rung runs."""
-        self._jit = self._tick = None
-        self.accel_tier = None
 
 
 class _TickModel(ctypes.Structure):
@@ -575,20 +450,27 @@ def _render_cc_step(hidden_size: int, embedding_dim: int, scale: int,
     Per row, the chain runs five flat loops (rescale+bias, PLAN sigmoid,
     softsign, cell update, hidden update) instead of one fused scalar
     loop: straight-line branchless float64 bodies that the compiler turns
-    into SIMD.  Two formulations differ *syntactically* from the NumPy
-    path but are proven equal on the fused operand ranges:
+    into SIMD.  Each loop computes the int64 reference op it replaces
+    (``_rounded_scale_division``, ``qsigmoid``, ``qsoftsign``, ``qmul``)
+    in float64, in a form proven equal on the fused operand ranges:
 
+    * the matmul rescale multiplies by the inverse scale and nudges by
+      ``eps`` (quotients screened statically below
+      ``_MAX_INV_RESCALE_QUOTIENT``, so the nudge absorbs the
+      inverse-multiply rounding without crossing a 1/scale gap);
     * the PLAN segment select uses arithmetic masks with exact
       power-of-two slope deltas and integer intercept deltas (``scale``
       divisible by 32, screened statically);
-    * ``frd_div`` replaces the true division by a reciprocal-multiply
-      guess corrected with exact integer products (operands < 2**53, so
-      the correction comparisons are exact and the result equals the
-      floored true quotient).
+    * the state-product rescale replaces the true division by a
+      reciprocal-multiply guess corrected with exact integer products
+      (operands < 2**53, so the correction comparisons are exact and the
+      result equals the floored true quotient).
 
     The sign/zero handling folds into ``half + copysign(r - half, x)``:
     for ``x == 0`` the magnitude path yields exactly ``half``, so no
-    zero branch is needed.  The tick's gate matmul accumulates 32 output
+    zero branch is needed.  The self-check feeds the rescale's half-exact
+    edges through the chain, where a rounding bug would hide from random
+    inputs.  The tick's gate matmul accumulates 32 output
     columns in registers per row (``BLOCK``); under the static
     accumulator screen every partial sum is an exact integer, so it
     equals BLAS in any order.
@@ -907,13 +789,11 @@ def _build_cc_step(hidden_size: int, embedding_dim: int, scale: int,
 
     Compiled once per ``(hidden_size, embedding_dim, scale)`` and cached
     by :func:`repro.cbuild.load_c_library`, which pins
-    ``-ffp-contract=off`` at every rung.  The C kernels replicate the
-    fused arithmetic op for op in IEEE float64, so a successful compile
-    is bit-equal by construction — and the build-time self-check probe
-    verifies both on the live weights anyway.  Both take raw data
-    pointers (``ndarray.ctypes.data``), so callers look them up once per
-    buffer.  ``None`` when the host cannot build them; the caller then
-    records ``jit_error`` and runs the vectorised NumPy fused path.
+    ``-ffp-contract=off`` at every rung.  The build-time self-check
+    verifies both kernels against the reference on the live weights.
+    Both take raw data pointers (``ndarray.ctypes.data``), so callers
+    look them up once per buffer.  ``None`` when the host cannot build
+    them; the engine then records ``jit_error`` and runs reference math.
     """
     library = load_c_library(
         _render_cc_step(hidden_size, embedding_dim, scale, eps)
@@ -952,12 +832,15 @@ def _self_check_once(engine, math_impl: _FusedFixedMath) -> None:
 
 
 def _self_check(engine, math_impl: _FusedFixedMath) -> None:
-    """Verify the fused tick against the reference kernels on this host.
+    """Verify the compiled kernels against the reference kernels on this host.
 
     Runs an adversarial batch (boundary-hugging cells, random hiddens,
-    random tokens) through :meth:`_FusedFixedMath.step_rows` and the
-    reference ``gates.run_batch`` + ``hidden_state.step_batch`` +
-    ``classify_batch`` chain; any bit difference raises ``AssertionError``.
+    random tokens) through the BLAS matmul and :meth:`_FusedFixedMath.chain`
+    and through the reference ``gates.run_batch`` +
+    ``hidden_state.step_batch``, then the rescale edge probe
+    (:func:`_self_check_rescale_edges`) and the session tick
+    (:func:`_self_check_tick`); any bit difference raises
+    ``AssertionError``.
     """
     dims = engine.config.dimensions
     H = dims.hidden_size
@@ -975,37 +858,66 @@ def _self_check(engine, math_impl: _FusedFixedMath) -> None:
     embedded = engine.preprocess.run_batch(tokens)
     ref_gates = engine.gates.run_batch(h, embedded)
     ref_h, ref_c = engine.hidden_state.step_batch(ref_gates, c)
-    ref_p = engine.hidden_state.classify_batch(ref_h)
 
-    got_h, got_c = math_impl.step_rows(
-        h.astype(np.float64), c.astype(np.float64), embedded
-    )
-    got_p = math_impl.classify_rows(got_h)
+    pre = np.concatenate([h, embedded], axis=1).astype(np.float64) @ math_impl.W_T
+    got_h, got_c = math_impl.chain(pre, c)
     assert np.array_equal(got_h, ref_h.astype(np.float64)), "hidden mismatch"
     assert np.array_equal(got_c, ref_c.astype(np.float64)), "cell mismatch"
-    assert np.array_equal(got_p, ref_p), "classification mismatch"
 
-    # Primitive rescale check on half-exact boundary values, where a
-    # rounding-mode bug would hide from random inputs.
+    _self_check_rescale_edges(engine, math_impl)
+    _self_check_tick(engine, math_impl)
+
+
+def _self_check_rescale_edges(engine, math_impl: _FusedFixedMath) -> None:
+    """Feed the rescale's half-exact edges through the compiled chain.
+
+    A rounding-mode bug hides from random inputs, so the probe builds
+    ``pre`` rows from the values ``k*scale ± half`` (and their
+    neighbours): every edge lands in every gate column, which covers the
+    matmul rescale.  A second block pins the i/f/o gates at exactly one
+    half and holds odd cells, so the state products ``f*c`` (and many
+    ``i*c'`` and ``o*softsign(c)``) are half-exact too, which covers the
+    product rescale.  The expected rows come from the int64 reference
+    ops: ``_rounded_scale_division`` plus the bias, ``qsigmoid`` and
+    ``qsoftsign`` per gate, and ``hidden_state.step_batch`` (``qmul``).
+    """
+    from repro.core.kernels.gates import GATE_ACTIVATIONS
+    from repro.fixedpoint.activations import qsigmoid, qsoftsign
     from repro.fixedpoint.ops import _rounded_scale_division
 
-    ks = np.array([0, 1, 2, 3, 7, 1000, 10**7], dtype=np.int64)
+    H = math_impl.hidden_size
+    scale = math_impl.scale
     half = scale // 2
+    ks = np.array([0, 1, 2, 3, 7, 1000, 10**7], dtype=np.int64)
     edges = np.concatenate([
         ks * scale - half, ks * scale + half, ks * scale + half - 1,
         -(ks * scale - half), -(ks * scale + half), ks,
     ])
-    expected = _rounded_scale_division(edges, scale).astype(np.float64)
-    for op in (math_impl._frdiv_inv, math_impl._frdiv_div):
-        got = op(edges.astype(np.float64))
-        assert np.array_equal(got, expected), "rescale primitive mismatch"
+    odd = np.concatenate([2 * ks + 1, -(2 * ks + 1)])
+    rows = np.arange(len(edges))[:, None]
+    pre = edges[(rows + np.arange(4 * H)) % len(edges)]
+    cell = odd[(rows + np.arange(H)) % len(odd)]
+    bias = math_impl.bias.astype(np.int64)
+    halves = pre.copy()
+    halves[:, :3 * H] = -bias[:3 * H] * scale   # rescales to -bias: gate = half
+    pre = np.concatenate([pre, halves])
+    cell = np.concatenate([cell, cell])
 
-    if math_impl._tick is not None:
-        _self_check_tick(engine, math_impl)
+    fmt = engine.quantized.fmt
+    rescaled = _rounded_scale_division(pre, scale) + bias
+    activate = {"sigmoid": qsigmoid, "softsign": qsoftsign}
+    gates = {
+        gate: activate[GATE_ACTIVATIONS[gate]](rescaled[:, k * H:(k + 1) * H], fmt)
+        for k, gate in enumerate(GATE_NAMES)
+    }
+    ref_h, ref_c = engine.hidden_state.step_batch(gates, cell)
+    got_h, got_c = math_impl.chain(pre.astype(np.float64), cell)
+    assert np.array_equal(got_h, ref_h.astype(np.float64)), "rescale edge hidden mismatch"
+    assert np.array_equal(got_c, ref_c.astype(np.float64)), "rescale edge cell mismatch"
 
 
 def _self_check_tick(engine, math_impl: _FusedFixedMath) -> None:
-    """Verify the compiled session tick against the oracle's NumPy tick.
+    """Verify the compiled session tick against the oracle's tick.
 
     One adversarial arena per stride in ``(1, 3, window)``: streams with a
     fresh first window, a completing first window, and wrapped rings
@@ -1079,13 +991,13 @@ class ReferenceBackend(KernelBackend):
 class FusedBackend(KernelBackend):
     """One compiled call per session tick over the session arena.
 
-    At ``FIXED_POINT`` the math is the fused float64 pass (bit-exact by
-    static bounds + build-time self-check + runtime envelope and cell
-    guards).  At the
-    float levels the reference kernels keep doing the math — their
-    pairwise-sum reduction *is* the batch-stability contract.  Any
-    exactness obstacle degrades to reference behaviour in-process and is
-    counted in ``repro_backend_fallback_total``.
+    At ``FIXED_POINT`` the math is the compiled float64 pass (bit-exact
+    by static bounds + build-time self-check + runtime envelope and cell
+    guards).  At the float levels the reference kernels keep doing the
+    math — their pairwise-sum reduction *is* the batch-stability
+    contract.  A missing compiler or any exactness obstacle degrades to
+    reference math in-process, counted once in
+    ``repro_backend_fallback_total``.
     """
 
     name = "fused"
@@ -1093,35 +1005,18 @@ class FusedBackend(KernelBackend):
     def __init__(self, engine):
         super().__init__(engine)
         self._math: _FusedFixedMath | None = None
-        self.degraded_reason: str | None = None
         if not engine.config.optimization.uses_fixed_point:
             return  # float levels: reference math
         try:
             math_impl = _FusedFixedMath(engine)
         except FusedUnavailable as unavailable:
-            self.degraded_reason = unavailable.reason
             self.record_fallback(unavailable.reason)
             return
-        if math_impl._jit is None:
-            # Degradation of degree only: the NumPy fused path runs.
-            self.record_fallback(FALLBACK_JIT_ERROR)
         try:
             _self_check_once(engine, math_impl)
         except AssertionError:
-            if math_impl._jit is not None:
-                # Give the NumPy formulation a chance before giving up.
-                math_impl.disable_jit()
-                self.record_fallback(FALLBACK_JIT_ERROR)
-                try:
-                    _self_check_once(engine, math_impl)
-                except AssertionError:
-                    self.degraded_reason = FALLBACK_SELF_CHECK
-                    self.record_fallback(FALLBACK_SELF_CHECK)
-                    return
-            else:
-                self.degraded_reason = FALLBACK_SELF_CHECK
-                self.record_fallback(FALLBACK_SELF_CHECK)
-                return
+            self.record_fallback(FALLBACK_SELF_CHECK)
+            return
         self._math = math_impl
 
     @property
@@ -1130,8 +1025,8 @@ class FusedBackend(KernelBackend):
 
     @property
     def accel_tier(self) -> str | None:
-        """Which tier compiled the tick: ``cc``, or ``None`` (NumPy)."""
-        return self._math.accel_tier if self._math is not None else None
+        """``cc`` when the compiled kernels run, ``None`` on reference math."""
+        return "cc" if self._math is not None else None
 
     def accelerates_inference(self) -> bool:
         return self._math is not None
@@ -1150,7 +1045,7 @@ class FusedBackend(KernelBackend):
         if self._math is None:
             # Float levels, or degraded at build: the reference math.
             return ReferenceStepper(self.engine)
-        return FusedStepper(self.engine, self._math)
+        return FusedStepper(self._math)
 
 
 register_backend(ReferenceBackend.name, ReferenceBackend)

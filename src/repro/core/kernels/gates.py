@@ -38,7 +38,7 @@ from repro.core.config import EngineConfig, GATE_NAMES
 from repro.core.kernels.base import Kernel, KernelTiming
 from repro.core.weights import HostWeights, QuantizedHostWeights
 from repro.fixedpoint.activations import qsigmoid, qsoftsign
-from repro.fixedpoint.ops import operand_bound, qadd, qaffine, qmatmul
+from repro.fixedpoint.ops import operand_bound, qadd, qmatmul
 from repro.hw.hls import DataflowRegion, FIXED_OPS, FLOAT_OPS, HlsLoop, LoopNest, PragmaSet
 
 #: Activation used by each gate in the deployed design.
@@ -71,9 +71,9 @@ def _affine_rows(matrix: np.ndarray, rows: np.ndarray, bias: np.ndarray) -> np.n
     ``np.sum``'s pairwise reduction over the last axis depends only on the
     fan-in, so row ``n`` of the result is bit-identical whether computed in
     a batch of 1 or of N.  BLAS gives no such guarantee — ``matrix @ vector``
-    (gemv) and ``matrix @ batch`` (gemm) round differently — so both the
-    sequential and batched float gate paths route through this helper to
-    keep :meth:`GatesKernel.run_batch` exactly equal to :meth:`GatesKernel.run`.
+    (gemv) and ``matrix @ batch`` (gemm) round differently — so the float
+    gate path routes through this helper to keep each row of
+    :meth:`GatesKernel.run_batch` independent of the batch around it.
     """
     return np.sum(matrix[np.newaxis, :, :] * rows[:, np.newaxis, :], axis=2) + bias
 
@@ -91,10 +91,9 @@ class GatesKernel(Kernel):
         # built at load time for the batched path.
         self._stacked_float: tuple | None = None
         self._stacked_fixed: tuple | None = None
-        # Static overflow-screen bounds (max|W|): the weights never change
+        # Static overflow-screen bound (max|W|): the weights never change
         # after load, so screening them per timestep is pure overhead.
         self._stacked_fixed_bound: float | None = None
-        self._gate_bounds: dict = {}
         # Reusable [h_{t-1}, x_t] concat buffer for run_batch; reallocated
         # only when the batch shape or dtype changes.
         self._concat_batch: np.ndarray | None = None
@@ -120,65 +119,16 @@ class GatesKernel(Kernel):
             )
             # Screen the static weight operands exactly once, here.
             self._stacked_fixed_bound = operand_bound(self._stacked_fixed[0])
-            self._gate_bounds = {
-                g: operand_bound(quantized.gates[g].matrix) for g in GATE_NAMES
-            }
-
-    def run(self, hidden_prev: np.ndarray, embedding_copies: list) -> dict:
-        """Evaluate all four gates for one item.
-
-        Parameters
-        ----------
-        hidden_prev:
-            ``h_{t-1}`` — float64 (vanilla/II) or quantised int64
-            (fixed-point), shape ``(H,)``.
-        embedding_copies:
-            The per-CU embedding copies produced by ``kernel_preprocess``;
-            one per CU.  Each CU consumes its own copy, as in the paper.
-
-        Returns
-        -------
-        dict
-            Gate name → activated vector (``i``, ``f``, ``o``, ``c``).
-        """
-        if len(embedding_copies) != self.config.num_gate_cus:
-            raise ValueError(
-                f"expected {self.config.num_gate_cus} embedding copies, got "
-                f"{len(embedding_copies)}"
-            )
-        fixed = self.config.optimization.uses_fixed_point
-        outputs = {}
-        for index, gate in enumerate(GATE_NAMES):
-            cu_index = index % self.config.num_gate_cus
-            x_t = embedding_copies[cu_index]
-            concatenated = np.concatenate([hidden_prev, x_t])
-            if fixed:
-                params = self._quantized.gates[gate]
-                pre = qaffine(params.matrix, concatenated, params.bias,
-                              self._quantized.fmt,
-                              matrix_bound=self._gate_bounds[gate])
-                if GATE_ACTIVATIONS[gate] == "sigmoid":
-                    outputs[gate] = qsigmoid(pre, self._quantized.fmt)
-                else:
-                    outputs[gate] = qsoftsign(pre, self._quantized.fmt)
-            else:
-                params = self._weights.gates[gate]
-                pre = _affine_rows(params.matrix, concatenated[np.newaxis, :], params.bias)[0]
-                if GATE_ACTIVATIONS[gate] == "sigmoid":
-                    outputs[gate] = _float_sigmoid(pre)
-                else:
-                    outputs[gate] = _float_softsign(pre)
-        return outputs
 
     def run_batch(self, hidden_prev: np.ndarray, x_t: np.ndarray) -> dict:
         """Evaluate all four gates for one timestep of a whole batch.
 
         The four per-gate CU affines collapse into a single stacked
         ``(4H, H+E)`` product against the ``(N, H+E)`` concatenated inputs
-        — one matmul per timestep instead of ``4 N`` mat-vecs.  Results are
-        bit-exact with :meth:`run` applied row by row: the fixed-point path
-        accumulates the identical int64 dot products before the single
-        rescale, and the float path shares :func:`_affine_rows`' batch-
+        — one matmul per timestep instead of ``4 N`` mat-vecs.  Each row
+        is bit-exact with the same call on that row alone: the fixed-point
+        path accumulates exact int64 dot products before the single
+        rescale, and the float path uses :func:`_affine_rows`' batch-
         stable reduction.
 
         Parameters

@@ -47,8 +47,6 @@ class HiddenStateKernel(Kernel):
         super().__init__(config)
         self._weights: HostWeights | None = None
         self._quantized: QuantizedHostWeights | None = None
-        self._cell: np.ndarray | None = None
-        self._counter = 0  # the paper's "static counter"
         self._fc_bound: float | None = None  # static FC-weight screen bound
 
     # ------------------------------------------------------------------
@@ -63,106 +61,17 @@ class HiddenStateKernel(Kernel):
                 raise ValueError("fixed-point mode requires quantised weights")
             self._quantized = quantized
             self._fc_bound = operand_bound(quantized.fc_weights)
-        self.reset()
-
-    def reset(self, batch_size: int | None = None) -> None:
-        """Zero the cell state and item counter (start of a sequence).
-
-        With ``batch_size=None`` the cell keeps the streaming ``(H,)``
-        shape used by :meth:`run`; an integer allocates a ``(batch, H)``
-        cell for :meth:`run_batch`.
-        """
-        hidden = self.config.dimensions.hidden_size
-        dtype = np.int64 if self.config.optimization.uses_fixed_point else np.float64
-        shape = hidden if batch_size is None else (batch_size, hidden)
-        self._cell = np.zeros(shape, dtype=dtype)
-        self._counter = 0
-
-    @property
-    def items_processed(self) -> int:
-        return self._counter
-
-    def run(self, gates: dict) -> tuple:
-        """Consume one item's gate outputs; produce ``h_t`` copies.
-
-        Parameters
-        ----------
-        gates:
-            Dict with keys ``i``, ``f``, ``o``, ``c`` from
-            :class:`~repro.core.kernels.gates.GatesKernel`.
-
-        Returns
-        -------
-        tuple
-            ``(hidden_copies, prediction)`` — a list of per-CU copies of
-            ``h_t``, and the classification probability if this item
-            completed the sequence (else ``None``).
-        """
-        if self._cell is None:
-            raise RuntimeError("load_weights must be called before run")
-        fixed = self.config.optimization.uses_fixed_point
-        i_t, f_t, o_t, c_bar = gates["i"], gates["f"], gates["o"], gates["c"]
-
-        if fixed:
-            fmt = self._quantized.fmt
-            self._cell = qadd(qmul(f_t, self._cell, fmt), qmul(i_t, c_bar, fmt))
-            hidden = qmul(o_t, qsoftsign(self._cell, fmt), fmt)
-        else:
-            self._cell = f_t * self._cell + i_t * c_bar
-            hidden = o_t * float_softsign(self._cell)
-
-        self._counter += 1
-        prediction = None
-        if self._counter >= self.config.dimensions.sequence_length:
-            prediction = self._classify(hidden)
-
-        copies = [hidden.copy() for _ in range(self.config.num_gate_cus)]
-        return copies, prediction
-
-    def run_batch(self, gates: dict) -> tuple:
-        """Consume one timestep's gate outputs for a whole batch.
-
-        Same update as :meth:`run` with every operand shaped ``(N, H)``
-        (the cell must have been allocated with ``reset(batch_size=N)``).
-        All arithmetic is element-wise, so each row is bit-identical to the
-        sequential update of that sequence.
-
-        Returns
-        -------
-        tuple
-            ``(hidden, predictions)`` — the ``(N, H)`` hidden state, and
-            the ``(N,)`` classification probabilities if this timestep
-            completed the sequences (else ``None``).
-        """
-        if self._cell is None:
-            raise RuntimeError("load_weights must be called before run_batch")
-        fixed = self.config.optimization.uses_fixed_point
-        i_t, f_t, o_t, c_bar = gates["i"], gates["f"], gates["o"], gates["c"]
-
-        if fixed:
-            fmt = self._quantized.fmt
-            self._cell = qadd(qmul(f_t, self._cell, fmt), qmul(i_t, c_bar, fmt))
-            hidden = qmul(o_t, qsoftsign(self._cell, fmt), fmt)
-        else:
-            self._cell = f_t * self._cell + i_t * c_bar
-            hidden = o_t * float_softsign(self._cell)
-
-        self._counter += 1
-        predictions = None
-        if self._counter >= self.config.dimensions.sequence_length:
-            predictions = self.classify_batch(hidden)
-        return hidden, predictions
 
     def step_batch(self, gates: dict, cell: np.ndarray) -> tuple:
-        """Stateless cell/hidden update over caller-owned ``(N, H)`` state.
+        """One cell/hidden update over caller-owned ``(N, H)`` state.
 
-        Identical arithmetic to :meth:`run_batch`, but the cell state is
-        an argument and the new state is returned instead of stored — no
-        internal ``_cell``/``_counter`` mutation, no classification.
-        This lets the streaming session layer step arbitrary row subsets
-        (many streams, many partial windows) while staying bit-identical
-        to the sequential update of each window: every operation here is
-        element-wise per row.
+        ``gates`` holds the ``i``/``f``/``o``/``c`` outputs of
+        :meth:`~repro.core.kernels.gates.GatesKernel.run_batch`.  The
+        cell state is an argument and the new state is returned, so
+        whole-batch inference and the streaming session layer can step
+        any row subset (many streams, many partial windows) while staying
+        bit-identical to the sequential update of each window: every
+        operation here is element-wise per row.
 
         Returns
         -------
@@ -181,17 +90,13 @@ class HiddenStateKernel(Kernel):
             hidden = o_t * float_softsign(new_cell)
         return hidden, new_cell
 
-    def _classify(self, hidden: np.ndarray) -> float:
-        """Map the final hidden state to a ransomware probability."""
-        return float(self.classify_batch(hidden[np.newaxis, :])[0])
-
     def classify_batch(self, hidden: np.ndarray) -> np.ndarray:
         """FC head + sigmoid over a ``(N, H)`` batch of final hidden states.
 
-        The sequential :meth:`_classify` routes through this with ``N=1``:
-        the fixed-point path is exact by construction (int64 dot products),
-        and the float path uses the same ``np.sum`` reduction for every
-        batch size, so per-row results are bit-identical either way.
+        The fixed-point path is exact by construction (int64 dot
+        products), and the float path uses the same ``np.sum`` reduction
+        for every batch size, so per-row results are bit-identical
+        whatever the batch.
         """
         if self.config.optimization.uses_fixed_point:
             fmt = self._quantized.fmt

@@ -60,24 +60,6 @@ class PreprocessKernel(Kernel):
                 raise ValueError("fixed-point mode requires quantised weights")
             self._embedding_fixed = quantized.embedding
 
-    def run(self, token_id: int) -> list:
-        """Embed one item and fan it out to the gate CUs.
-
-        Returns a list of ``num_gate_cus`` *independent copies* of the
-        embedding vector (float64 or int64 depending on the engine mode).
-        """
-        table = (
-            self._embedding_fixed
-            if self.config.optimization.uses_fixed_point
-            else self._embedding_float
-        )
-        if table is None:
-            raise RuntimeError("load_embeddings must be called before run")
-        if not 0 <= token_id < table.shape[0]:
-            raise token_range_error(token_id, table.shape[0])
-        embedding = table[token_id]
-        return [embedding.copy() for _ in range(self.config.num_gate_cus)]
-
     def run_batch(self, token_ids: np.ndarray) -> np.ndarray:
         """Embed a whole batch of sequences in one gather.
 
@@ -85,7 +67,7 @@ class PreprocessKernel(Kernel):
         appends the embedding dimension: ``token_ids.shape + (E,)``.  The
         batch path needs no per-CU fan-out — the four gate affines collapse
         into one stacked matmul, so a single embedding view serves them all.
-        Values are identical to :meth:`run`'s per-token lookups.
+        The result is a fresh array, never a view of the table.
         """
         table = (
             self._embedding_fixed

@@ -21,10 +21,10 @@ All per-stream state lives in one struct-of-arrays arena per manager
   alone; window ``start`` lives in ring position
   ``(start // stride) % ring_capacity``.
 
-A tick is one stepper call on the arena.  With the ``fused`` backend's
-compiled tier that is one C call, which derives the open windows,
-gathers, checks, steps, scatters and classifies; otherwise the NumPy
-tick gathers the open windows, runs the kernels and scatters.  The
+A tick is one stepper call on the arena.  With the ``fused`` backend
+that is one C call, which derives the open windows, gathers, checks,
+steps, scatters and classifies; the reference stepper gathers the open
+windows in NumPy, runs the kernels and scatters.  The
 manager keeps two tiers over the same rows: **resident** streams (LRU
 order, bounded by the memory budget) and the **checkpoint store** (the
 cold tier a real CSD would spill to, FIFO order, bounded by
@@ -33,8 +33,8 @@ between the tiers without copying its state.
 
 The math is the engine's **kernel backend**
 (:mod:`repro.core.kernels.backends`): :class:`ReferenceStepper` runs the
-per-kernel NumPy pipeline (the oracle), :class:`FusedStepper` the fused
-fixed-point step.  Both are **bit-exact** with ``infer_sequence`` on the
+per-kernel NumPy pipeline (the oracle), :class:`FusedStepper` the
+compiled fixed-point tick.  Both are **bit-exact** with ``infer_sequence`` on the
 same window at every :class:`~repro.core.config.OptimizationLevel`: a
 window stepped token by token inside an arbitrary batch of other streams
 produces the identical probability to a fresh full-window recompute.
@@ -247,51 +247,6 @@ class SessionArena:
         return (start // self.stride) % self.ring_capacity
 
 
-def _numpy_tick(arena: SessionArena, rows: np.ndarray, token_ids: np.ndarray,
-                embed, step) -> tuple:
-    """One session tick in NumPy: the oracle's, and the fused no-compiler rung's.
-
-    Embeds every token (``embed`` raises on a bad one), steps every open
-    window of ``rows`` by one token through ``step(h, c, embedded, done)
-    -> (new_h, new_c, probabilities)``, then scatters the new state and
-    advances ``calls``.  Window rows run stream-major, oldest window
-    first (the reference row order).  A window opens with zero state when
-    ``calls_seen`` is a multiple of ``stride`` and completes once it holds
-    ``window_length`` tokens.  Nothing is written if ``embed`` or ``step``
-    raises.  Returns ``(stepped, done, probabilities)`` with ``done`` the
-    indexes into ``rows`` whose window completed.
-    """
-    embedded = embed(token_ids)
-    stride = arena.stride
-    window = arena.window_length
-    ring_capacity = arena.ring_capacity
-    calls = arena.calls[rows]
-    # Per ring position, oldest window first: start // stride, fill.
-    index = (calls // stride)[:, None] + arena.ring_offsets
-    filled = calls[:, None] - index * stride
-    live = (index >= 0) & (filled < window)
-    owner = np.nonzero(live)[0]
-    if not owner.size:
-        arena.calls[rows] = calls + 1
-        return 0, owner, _NO_PROBABILITIES
-    filled = filled[live]
-    slots = ((rows * ring_capacity)[:, None] + index % ring_capacity)[live]
-    hidden_size = arena.h.shape[-1]
-    h_slots = arena.h.reshape(-1, hidden_size)
-    c_slots = arena.c.reshape(-1, hidden_size)
-    h = h_slots.take(slots, axis=0)
-    c = c_slots.take(slots, axis=0)
-    fresh = filled == 0
-    h[fresh] = 0
-    c[fresh] = 0
-    done = np.flatnonzero(filled == window - 1)
-    new_h, new_c, probabilities = step(h, c, embedded[owner], done)
-    h_slots[slots] = new_h
-    c_slots[slots] = new_c
-    arena.calls[rows] = calls + 1
-    return len(owner), owner[done], probabilities
-
-
 class ReferenceStepper:
     """The oracle math: the engine's per-kernel NumPy pipeline.
 
@@ -309,59 +264,70 @@ class ReferenceStepper:
         """One tick: step every open window of ``rows``, in place.
 
         ``rows`` are arena rows and ``token_ids`` their tokens (int64,
-        one per stream).  Returns ``(stepped, done, probabilities)``:
-        window rows stepped, the indexes into ``rows`` whose window
-        completed, and one probability each.  A bad token raises the
-        embedding kernel's ``ValueError`` with the arena untouched.
+        one per stream).  Every token is embedded (a bad one raises the
+        embedding kernel's ``ValueError`` with the arena untouched), then
+        every open window steps by one token, stream-major, oldest
+        window first, and the new state is scattered and ``calls``
+        advanced.  A window opens with zero state when ``calls_seen`` is
+        a multiple of ``stride`` and completes once it holds
+        ``window_length`` tokens.  Returns ``(stepped, done,
+        probabilities)``: window rows stepped, the indexes into ``rows``
+        whose window completed, and one probability each.
         """
-        return _numpy_tick(arena, rows, token_ids,
-                           self.engine.preprocess.run_batch, self._step)
-
-    def _step(self, h, c, embedded, done) -> tuple:
         engine = self.engine
-        gate_outputs = engine.gates.run_batch(h, embedded)
-        hidden, cell = engine.hidden_state.step_batch(gate_outputs, c)
-        if not done.size:
-            return hidden, cell, _NO_PROBABILITIES
-        return hidden, cell, engine.hidden_state.classify_batch(hidden[done])
+        embedded = engine.preprocess.run_batch(token_ids)
+        stride = arena.stride
+        window = arena.window_length
+        ring_capacity = arena.ring_capacity
+        calls = arena.calls[rows]
+        # Per ring position, oldest window first: start // stride, fill.
+        index = (calls // stride)[:, None] + arena.ring_offsets
+        filled = calls[:, None] - index * stride
+        live = (index >= 0) & (filled < window)
+        owner = np.nonzero(live)[0]
+        if not owner.size:
+            arena.calls[rows] = calls + 1
+            return 0, owner, _NO_PROBABILITIES
+        filled = filled[live]
+        slots = ((rows * ring_capacity)[:, None] + index % ring_capacity)[live]
+        hidden_size = arena.h.shape[-1]
+        h_slots = arena.h.reshape(-1, hidden_size)
+        c_slots = arena.c.reshape(-1, hidden_size)
+        h = h_slots.take(slots, axis=0)
+        c = c_slots.take(slots, axis=0)
+        fresh = filled == 0
+        h[fresh] = 0
+        c[fresh] = 0
+        done = np.flatnonzero(filled == window - 1)
+        gate_outputs = engine.gates.run_batch(h, embedded[owner])
+        new_h, new_c = engine.hidden_state.step_batch(gate_outputs, c)
+        probabilities = (engine.hidden_state.classify_batch(new_h[done])
+                         if done.size else _NO_PROBABILITIES)
+        h_slots[slots] = new_h
+        c_slots[slots] = new_c
+        arena.calls[rows] = calls + 1
+        return len(owner), owner[done], probabilities
 
 
 class FusedStepper:
-    """The fused fixed-point tick (the ``fused`` backend's math).
+    """The compiled fixed-point tick (the ``fused`` backend's math).
 
-    With the compiled tier, the whole tick is one C call on the arena
-    (:meth:`~repro.core.kernels.backends._FusedFixedMath.session_tick`);
-    without it, the NumPy tick runs the fused float64 step over the
-    gathered rows.  Raises :class:`~repro.core.kernels.backends.FusedOverflow`
-    (arena untouched) when an input window lies outside the exactness
-    envelope (an imported checkpoint can carry any state) or a new cell
-    crosses the guard; the manager then swaps in :class:`ReferenceStepper`
-    and re-runs the tick on the same arena rows.
+    The whole tick is one C call on the arena
+    (:meth:`~repro.core.kernels.backends._FusedFixedMath.session_tick`).
+    It raises :class:`~repro.core.kernels.backends.FusedOverflow` (arena
+    untouched) when an input window lies outside the exactness envelope
+    (an imported checkpoint can carry any state) or a new cell crosses
+    the guard; the manager then swaps in :class:`ReferenceStepper` and
+    re-runs the tick on the same arena rows.
     """
 
-    def __init__(self, engine, fused_math):
-        self.engine = engine
+    def __init__(self, fused_math):
         self.math = fused_math
 
     def step_rows(self, arena: SessionArena, rows: np.ndarray,
                   token_ids: np.ndarray) -> tuple:
         """Same contract as :meth:`ReferenceStepper.step_rows`."""
-        if self.math.accel_tier is not None:
-            return self.math.session_tick(arena, rows, token_ids)
-        return _numpy_tick(arena, rows, token_ids,
-                           self.engine.preprocess.run_batch, self._step)
-
-    def _step(self, h, c, embedded, done) -> tuple:
-        fused = self.math
-        if (np.abs(h).max() > fused.fscale
-                or np.abs(c).max() > fused.cell_limit):
-            raise FusedOverflow
-        new_h, new_c = fused.step_rows(
-            h.astype(np.float64), c.astype(np.float64), embedded
-        )
-        if not done.size:
-            return new_h, new_c, _NO_PROBABILITIES
-        return new_h, new_c, fused.classify_rows(new_h[done])
+        return self.math.session_tick(arena, rows, token_ids)
 
 
 class SessionManager:

@@ -24,8 +24,8 @@ kernel registry in ``core/kernels/backends.py``:
   whole element-wise gradient chain and keeps the dgemms in NumPy with
   operand views identical to the reference.
   Like the session backend, the element-wise kernels run as a small C
-  kernel built once per hidden size with the system compiler, else as a
-  vectorised NumPy formulation of the same arithmetic.
+  kernel built once per hidden size with the system compiler; without
+  one, training runs the reference path.
 
 Why the restructuring is bit-exact
 ----------------------------------
@@ -48,21 +48,23 @@ targets that NumPy fills with the identical dgemm result.
 On top of that construction argument, a build-time self-check runs probe
 batches through the fused pass and the reference ``train_batch`` and
 compares the loss and every gradient array bit for bit before the backend
-is ever trusted; any mismatch degrades the kernel — gracefully, counted by
-``repro_train_backend_fallback_total{reason=...}`` — first to the NumPy
-formulation, then to the reference path.
+is ever trusted; any mismatch degrades the kernel to the reference path —
+gracefully, counted by ``repro_train_backend_fallback_total{reason=...}``.
 
 Fallback reasons
 ----------------
+Each is counted once, when the kernel is built; every one means the
+reference path trains.
+
 ``jit_error``
-    the C kernel could not be built, or it failed the self-check; the
-    vectorised NumPy rung runs instead (still fused).
+    no compiled tier could be built (no C compiler, or every rung of the
+    compile ladder failed).
 ``unsupported_activation``
     the model's cell activation is not the softsign deployment cell the
-    fused kernels hardcode (e.g. the tanh ablation); reference math.
+    fused kernels hardcode (e.g. the tanh ablation).
 ``self_check_failed``
-    the build-time probe found a bit mismatch vs the reference on this
-    host; reference math.
+    the compiled tier was rejected: the build-time probe found a bit
+    mismatch vs the reference on this host.
 
 See ``docs/performance.md`` ("The training pipeline") and
 ``docs/observability.md`` for the metric contract.
@@ -72,20 +74,20 @@ from __future__ import annotations
 
 import collections
 import ctypes
+import functools
 
 import numpy as np
 
-from repro.cbuild import load_c_library
+from repro.cbuild import FALLBACK_JIT_ERROR, FALLBACK_SELF_CHECK, load_c_library
 from repro.nn.losses import binary_cross_entropy_with_logits
 
 #: Metric names (documented in docs/observability.md).
 METRIC_TRAIN_FALLBACK = "repro_train_backend_fallback_total"
 METRIC_TRAIN_BATCHES = "repro_train_batches_total"
 
-#: ``repro_train_backend_fallback_total``'s ``reason`` label values.
-FALLBACK_JIT_ERROR = "jit_error"
+#: ``repro_train_backend_fallback_total``'s ``reason`` label values (with
+#: ``FALLBACK_JIT_ERROR`` and ``FALLBACK_SELF_CHECK`` from ``repro.cbuild``).
 FALLBACK_UNSUPPORTED = "unsupported_activation"
-FALLBACK_SELF_CHECK = "self_check_failed"
 
 #: The default backend of :class:`~repro.nn.trainer.TrainingConfig`.
 DEFAULT_TRAIN_BACKEND = "fused"
@@ -177,9 +179,12 @@ _TrainSteps = collections.namedtuple("_TrainSteps", "fwd bwd")
 
 
 class _TrainBuffers:
-    """Persistent work/cache arrays for one ``(batch, timesteps)`` shape."""
+    """Persistent work/cache arrays for one ``(batch, timesteps)`` shape,
+    and the compiled step pair bound to their data pointers, so a
+    timestep call passes only ``t``: ``fwd(t)`` and ``bwd(t)``."""
 
-    def __init__(self, batch: int, timesteps: int, hidden: int, input_dim: int):
+    def __init__(self, batch: int, timesteps: int, hidden: int, input_dim: int,
+                 steps: "_TrainSteps"):
         shape_bt = (batch, timesteps, hidden)
         self.pre = np.empty((batch, 4 * hidden))
         self.z = np.empty((batch, 4 * hidden))
@@ -199,6 +204,16 @@ class _TrainBuffers:
         self.tmp_wx = np.empty((input_dim, 4 * hidden))
         self.tmp_wh = np.empty((hidden, 4 * hidden))
         self.inputs: np.ndarray | None = None
+        self.fwd = functools.partial(steps.fwd, *(
+            array.ctypes.data for array in (
+                self.pre, self.z, self.i, self.f, self.o, self.c_bar,
+                self.pre_c, self.cell, self.hidden)
+        ), batch, timesteps)
+        self.bwd = functools.partial(steps.bwd, *(
+            array.ctypes.data for array in (
+                self.i, self.f, self.o, self.c_bar, self.pre_c, self.cell,
+                self.grad_h, self.grad_c, self.d_pre)
+        ), batch, timesteps)
 
 
 class FusedTrainingKernel(TrainingKernel):
@@ -208,43 +223,28 @@ class FusedTrainingKernel(TrainingKernel):
 
     def __init__(self, model, telemetry=None):
         super().__init__(model, telemetry)
-        self._delegate = False
+        self._delegate = True
         self._buffers: dict = {}
-        self._steps = None
-        self._tier = None
         lstm = model.lstm
         if lstm.cell_activation_name != "softsign":
             # The fused kernels hardcode the softsign deployment cell; the
             # tanh ablation (and any future activation) trains on reference.
             self.record_fallback(FALLBACK_UNSUPPORTED)
-            self._delegate = True
             return
         self._steps = _build_cc_train_steps(lstm.hidden_size)
         if self._steps is None:
-            # No C tier: a degradation of degree only, the NumPy rung runs.
             self.record_fallback(FALLBACK_JIT_ERROR)
-        else:
-            self._tier = "cc"
+            return
         try:
             self._self_check()
         except AssertionError:
-            if self._steps is not None:
-                # Distrust the compiled tier first: the NumPy formulation
-                # of the same arithmetic may still be exact on this host.
-                self.record_fallback(FALLBACK_JIT_ERROR)
-                self._steps = None
-                self._tier = None
-                try:
-                    self._self_check()
-                    return
-                except AssertionError:
-                    pass
             self.record_fallback(FALLBACK_SELF_CHECK)
-            self._delegate = True
+            return
+        self._delegate = False
 
     @property
     def accel_tier(self):
-        return None if self._delegate else self._tier
+        return None if self._delegate else "cc"
 
     def train_batch(self, token_ids: np.ndarray, labels: np.ndarray):
         self._count_batch()
@@ -282,7 +282,8 @@ class FusedTrainingKernel(TrainingKernel):
             if len(self._buffers) > 8:
                 self._buffers.clear()
             lstm = self.model.lstm
-            buffers = _TrainBuffers(batch, timesteps, lstm.hidden_size, lstm.input_dim)
+            buffers = _TrainBuffers(batch, timesteps, lstm.hidden_size,
+                                    lstm.input_dim, self._steps)
             self._buffers[key] = buffers
         return buffers
 
@@ -315,15 +316,13 @@ class FusedTrainingKernel(TrainingKernel):
         lstm = self.model.lstm
         inputs = np.asarray(inputs, dtype=np.float64)
         batch, timesteps, _ = inputs.shape
-        h = lstm.hidden_size
         buf = self._buffers_for(batch, timesteps)
         buf.inputs = inputs
 
         np.matmul(inputs, lstm.W_x, out=buf.x_proj)
         buf.x_proj += lstm.b
 
-        pre, z = buf.pre, buf.z
-        steps = self._steps
+        pre, z, fwd = buf.pre, buf.z, buf.fwd
         for t in range(timesteps):
             np.matmul(buf.hidden[:, t, :], lstm.W_h, out=pre)
             pre += buf.x_proj[:, t, :]
@@ -332,33 +331,13 @@ class FusedTrainingKernel(TrainingKernel):
             np.abs(pre, out=z)
             np.negative(z, out=z)
             np.exp(z, out=z)
-            if steps is not None:
-                steps.fwd(pre, z, buf.i, buf.f, buf.o, buf.c_bar, buf.pre_c,
-                          buf.cell, buf.hidden, t)
-            else:
-                self._numpy_fwd_step(buf, h, t)
+            fwd(t)
         return buf.hidden[:, timesteps, :], buf
-
-    def _numpy_fwd_step(self, buf: _TrainBuffers, h: int, t: int) -> None:
-        pre, z = buf.pre, buf.z
-        denom = 1.0 + z
-        sig = np.where(pre >= 0.0, 1.0 / denom, z / denom)
-        buf.i[:, t] = sig[:, 0:h]
-        buf.f[:, t] = sig[:, h : 2 * h]
-        buf.o[:, t] = sig[:, 3 * h : 4 * h]
-        p_c = pre[:, 2 * h : 3 * h]
-        buf.pre_c[:, t] = p_c
-        c_bar = p_c / (np.abs(p_c) + 1.0)
-        buf.c_bar[:, t] = c_bar
-        c_new = buf.f[:, t] * buf.cell[:, t] + buf.i[:, t] * c_bar
-        buf.cell[:, t + 1] = c_new
-        buf.hidden[:, t + 1] = buf.o[:, t] * (c_new / (np.abs(c_new) + 1.0))
 
     def _backward(self, buf: _TrainBuffers, grad_h_final: np.ndarray):
         lstm = self.model.lstm
         inputs = buf.inputs
-        batch, timesteps, _ = inputs.shape
-        h = lstm.hidden_size
+        timesteps = inputs.shape[1]
 
         grad_W_x = np.zeros_like(lstm.W_x)
         grad_W_h = np.zeros_like(lstm.W_h)
@@ -370,15 +349,10 @@ class FusedTrainingKernel(TrainingKernel):
         np.copyto(grad_h, grad_h_final)
         grad_c = buf.grad_c
         grad_c.fill(0.0)
-        d_pre = buf.d_pre
-        steps = self._steps
+        d_pre, bwd = buf.d_pre, buf.bwd
 
         for t in range(timesteps - 1, -1, -1):
-            if steps is not None:
-                steps.bwd(buf.i, buf.f, buf.o, buf.c_bar, buf.pre_c,
-                          buf.cell, grad_h, grad_c, d_pre, t)
-            else:
-                self._numpy_bwd_step(buf, h, t)
+            bwd(t)
             np.matmul(inputs[:, t].T, d_pre, out=buf.tmp_wx)
             grad_W_x += buf.tmp_wx
             np.matmul(buf.hidden[:, t].T, d_pre, out=buf.tmp_wh)
@@ -388,25 +362,6 @@ class FusedTrainingKernel(TrainingKernel):
             np.matmul(d_pre, lstm.W_h.T, out=grad_h)
 
         return grad_inputs, {"W_x": grad_W_x, "W_h": grad_W_h, "b": grad_b}
-
-    def _numpy_bwd_step(self, buf: _TrainBuffers, h: int, t: int) -> None:
-        grad_h, grad_c, d_pre = buf.grad_h, buf.grad_c, buf.d_pre
-        c_t = buf.cell[:, t + 1]
-        i_t = buf.i[:, t]
-        f_t = buf.f[:, t]
-        o_t = buf.o[:, t]
-        den_c = np.abs(c_t) + 1.0
-        gc = grad_c + grad_h * o_t * (1.0 / (den_c * den_c))
-        grad_o = grad_h * (c_t / den_c)
-        grad_i = gc * buf.c_bar[:, t]
-        grad_c_bar = gc * i_t
-        grad_f = gc * buf.cell[:, t]
-        d_pre[:, 0:h] = grad_i * (i_t * (1.0 - i_t))
-        d_pre[:, h : 2 * h] = grad_f * (f_t * (1.0 - f_t))
-        den_p = np.abs(buf.pre_c[:, t]) + 1.0
-        d_pre[:, 2 * h : 3 * h] = grad_c_bar * (1.0 / (den_p * den_p))
-        d_pre[:, 3 * h : 4 * h] = grad_o * (o_t * (1.0 - o_t))
-        np.multiply(gc, f_t, out=grad_c)
 
 
 # ----------------------------------------------------------------------
@@ -506,35 +461,23 @@ void repro_train_bwd_step(const double *restrict gi, const double *restrict gf,
 
 
 def _build_cc_train_steps(hidden_size: int):
-    """The compiled C step pair as ``_TrainSteps``, or ``None``.
+    """The compiled C step pair as ``_TrainSteps`` of raw ctypes functions,
+    or ``None``.
 
     Compiled and cached by :func:`repro.cbuild.load_c_library`; ``None``
     when the host cannot build it, in which case the caller records
-    ``jit_error`` and runs the vectorised NumPy formulation of the same
-    arithmetic.
+    ``jit_error`` and trains on the reference path.  Both take nine data
+    pointers, then ``n``, ``steps`` and ``t`` (:class:`_TrainBuffers`
+    binds all but ``t`` once per buffer set).
     """
     library = load_c_library(_render_cc_train_steps(hidden_size))
     if library is None:
         return None
-    raw_fwd = library.repro_train_fwd_step
-    raw_fwd.restype = None
-    raw_fwd.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_long] * 3
-    raw_bwd = library.repro_train_bwd_step
-    raw_bwd.restype = None
-    raw_bwd.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_long] * 3
-
-    def fwd(pre, z, gi, gf, go, cb, pc, cell, hidden, t):
-        raw_fwd(pre.ctypes.data, z.ctypes.data, gi.ctypes.data,
-                gf.ctypes.data, go.ctypes.data, cb.ctypes.data,
-                pc.ctypes.data, cell.ctypes.data, hidden.ctypes.data,
-                gi.shape[0], gi.shape[1], t)
-
-    def bwd(gi, gf, go, cb, pc, cell, grad_h, grad_c, d_pre, t):
-        raw_bwd(gi.ctypes.data, gf.ctypes.data, go.ctypes.data,
-                cb.ctypes.data, pc.ctypes.data, cell.ctypes.data,
-                grad_h.ctypes.data, grad_c.ctypes.data,
-                d_pre.ctypes.data, gi.shape[0], gi.shape[1], t)
-
+    fwd = library.repro_train_fwd_step
+    bwd = library.repro_train_bwd_step
+    for step in (fwd, bwd):
+        step.restype = None
+        step.argtypes = [ctypes.c_void_p] * 9 + [ctypes.c_long] * 3
     return _TrainSteps(fwd, bwd)
 
 

@@ -24,6 +24,7 @@ from repro.core.kernels.backends import (
     DEFAULT_BACKEND,
     FALLBACK_JIT_ERROR,
     FALLBACK_OVERFLOW_GUARD,
+    FALLBACK_SELF_CHECK,
     METRIC_FALLBACK,
     METRIC_TICKS,
     FusedOverflow,
@@ -101,20 +102,6 @@ class TestInferenceParity:
         want = engine_for(level).infer_batch(batch).probabilities
         got = engine_for(level, backend="fused").infer_batch(batch).probabilities
         np.testing.assert_array_equal(got, want)
-
-    def test_fused_numpy_tier_also_bit_exact(self):
-        """With the compiled step disabled, the vectorised-NumPy fused
-        path must still match the reference bit for bit."""
-        level = OptimizationLevel.FIXED_POINT
-        engine = build_engine(level, backend="fused")
-        if engine.step_backend._math is not None:
-            engine.step_backend._math.disable_jit()
-        rng = np.random.default_rng(19)
-        batch = rng.integers(0, VOCAB, size=(6, WINDOW))
-        want = engine_for(level).infer_batch(batch).probabilities
-        np.testing.assert_array_equal(
-            engine.infer_batch(batch).probabilities, want
-        )
 
 
 class TestSessionParity:
@@ -425,26 +412,32 @@ class TestCompiledTier:
         assert backend.accel_tier == "cc"
         assert backend.fallback_reasons == {}
 
-    @compiler_required
-    def test_broken_session_tick_fails_self_check(self, monkeypatch):
-        """A compiled tick that reads stale ring state into fresh windows
-        fails the build-time self-check: the C tier is dropped
-        (``jit_error``) and the NumPy rung's sessions stay bit-exact."""
+    @staticmethod
+    def _render_broken(monkeypatch, correct: str, wrong: str) -> None:
+        """Render the fused C source with ``correct`` replaced by ``wrong``."""
         render = backends_mod._render_cc_step
-        correct = "const int64_t keep = !fresh[w];"
 
         def broken(*args):
             source = render(*args)
             assert correct in source
-            return source.replace(correct, "const int64_t keep = 1;")
+            return source.replace(correct, wrong)
 
         monkeypatch.setattr(cbuild, "_LIBRARIES", {})
         monkeypatch.setattr(backends_mod, "_render_cc_step", broken)
+
+    @compiler_required
+    def test_broken_session_tick_fails_self_check(self, monkeypatch):
+        """A compiled tick that reads stale ring state into fresh windows
+        fails the build-time self-check: the compiled tier is rejected
+        (``self_check_failed``, counted once) and the sessions run the
+        reference math, bit-exact."""
+        self._render_broken(monkeypatch, "const int64_t keep = !fresh[w];",
+                            "const int64_t keep = 1;")
         level = OptimizationLevel.FIXED_POINT
         engine = build_engine(level)
         backend = engine.step_backend
         assert backend.accel_tier is None
-        assert backend.fallback_reasons == {FALLBACK_JIT_ERROR: 1}
+        assert backend.fallback_reasons == {FALLBACK_SELF_CHECK: 1}
         rng = np.random.default_rng(53)
         keys = [f"s{i}" for i in range(4)]
         tokens = rng.integers(0, VOCAB, size=(4, 3 * WINDOW))
@@ -453,10 +446,32 @@ class TestCompiledTier:
             SessionManager(engine_for(level), config, backend="reference"),
             keys, tokens,
         )
-        got = manager_verdicts(SessionManager(engine, config), keys, tokens)
+        manager = SessionManager(engine, config)
+        got = manager_verdicts(manager, keys, tokens)
         assert want and got == want
+        assert manager.stats()["backend_fallbacks"] == {FALLBACK_SELF_CHECK: 1}
+
+    @compiler_required
+    def test_wrong_rescale_rounding_fails_self_check(self, monkeypatch):
+        """A chain whose matmul rescale rounds half-exact values down
+        instead of away from zero differs from the reference only on the
+        ``k*scale ± half`` edges, which random inputs almost never hit;
+        the self-check's edge probe rejects it."""
+        self._render_broken(monkeypatch, "floor((fabs(p[k]) + ",
+                            "floor((fabs(p[k]) - 1.0 + ")
+        level = OptimizationLevel.FIXED_POINT
+        engine = build_engine(level)
+        assert engine.step_backend.fallback_reasons == {FALLBACK_SELF_CHECK: 1}
+        batch = np.random.default_rng(59).integers(0, VOCAB, size=(4, WINDOW))
+        np.testing.assert_array_equal(
+            engine.infer_batch(batch).probabilities,
+            engine_for(level).infer_batch(batch).probabilities,
+        )
 
     def test_missing_compiler_is_counted_and_stays_exact(self, monkeypatch):
+        """Without a compiler the fused engine runs reference math for
+        inference and sessions alike, bit for bit, and counts
+        ``jit_error`` once."""
         monkeypatch.setattr(cbuild, "_LIBRARIES", {})
         monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
         level = OptimizationLevel.FIXED_POINT
@@ -470,3 +485,13 @@ class TestCompiledTier:
             engine.infer_batch(batch).probabilities,
             engine_for(level).infer_batch(batch).probabilities,
         )
+        keys = [f"s{i}" for i in range(3)]
+        tokens = np.random.default_rng(43).integers(0, VOCAB, size=(3, 2 * WINDOW))
+        config = SessionConfig(stride=2)
+        want = manager_verdicts(
+            SessionManager(engine_for(level), config, backend="reference"),
+            keys, tokens,
+        )
+        manager = SessionManager(engine, config)
+        assert want and manager_verdicts(manager, keys, tokens) == want
+        assert manager.stats()["backend_fallbacks"] == {FALLBACK_JIT_ERROR: 1}

@@ -1,4 +1,4 @@
-"""Tests for the three kernel implementations: function and timing."""
+"""Tests for the three reference kernels: function and timing."""
 
 import dataclasses
 
@@ -42,32 +42,26 @@ def loaded_kernels(level, host_weights, **overrides):
 
 
 class TestPreprocess:
-    def test_returns_one_copy_per_cu(self, host_weights):
-        preprocess, _, _ = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
-        copies = preprocess.run(3)
-        assert len(copies) == 4
-        for copy in copies:
-            np.testing.assert_array_equal(copy, host_weights.embedding[3])
-
     def test_copies_are_independent(self, host_weights):
         preprocess, _, _ = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
-        copies = preprocess.run(0)
-        copies[0][0] = 999.0
-        assert copies[1][0] != 999.0
+        embedded = preprocess.run_batch(np.array([0, 0]))
+        np.testing.assert_array_equal(embedded[1], host_weights.embedding[0])
+        embedded[0, 0] = 999.0
+        assert embedded[1, 0] != 999.0
+        assert host_weights.embedding[0, 0] != 999.0
 
     def test_fixed_point_returns_quantised(self, host_weights):
         preprocess, _, _ = loaded_kernels(OptimizationLevel.FIXED_POINT, host_weights)
-        copies = preprocess.run(1)
-        assert copies[0].dtype == np.int64
+        assert preprocess.run_batch(np.array([1])).dtype == np.int64
 
     def test_rejects_out_of_range_token(self, host_weights):
         preprocess, _, _ = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
         with pytest.raises(ValueError):
-            preprocess.run(9)
+            preprocess.run_batch(np.array([9]))
 
     def test_run_before_load_raises(self):
         with pytest.raises(RuntimeError):
-            PreprocessKernel(make_config()).run(0)
+            PreprocessKernel(make_config()).run_batch(np.array([0]))
 
     def test_timing_nearly_flat_across_levels(self, host_weights):
         # Fig. 3: "the execution time of kernel_preprocess remained fairly
@@ -83,31 +77,29 @@ class TestPreprocess:
 class TestGates:
     def test_outputs_all_four_gates(self, host_weights):
         _, gates, _ = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
-        h = np.zeros(5)
-        copies = [host_weights.embedding[2].copy() for _ in range(4)]
-        outputs = gates.run(h, copies)
+        outputs = gates.run_batch(np.zeros((1, 5)), host_weights.embedding[[2]])
         assert set(outputs) == {"i", "f", "o", "c"}
 
     def test_float_matches_reference_math(self, host_weights, rng):
         _, gates, _ = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
         h = rng.standard_normal(5)
         x = host_weights.embedding[4]
-        outputs = gates.run(h, [x.copy() for _ in range(4)])
+        outputs = gates.run_batch(h[np.newaxis, :], x[np.newaxis, :])
         concatenated = np.concatenate([h, x])
         for name, gate in host_weights.gates.items():
             pre = gate.matrix @ concatenated + gate.bias
             expected = sigmoid(pre) if GATE_ACTIVATIONS[name] == "sigmoid" else softsign(pre)
-            np.testing.assert_allclose(outputs[name], expected, atol=1e-12)
+            np.testing.assert_allclose(outputs[name][0], expected, atol=1e-12)
 
     def test_fixed_point_close_to_float(self, host_weights, rng):
         _, float_gates, _ = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
         _, fixed_gates, _ = loaded_kernels(OptimizationLevel.FIXED_POINT, host_weights)
-        h_float = rng.uniform(-0.5, 0.5, size=5)
-        x_float = host_weights.embedding[1]
-        float_out = float_gates.run(h_float, [x_float.copy() for _ in range(4)])
-        h_fixed = PAPER_QFORMAT.quantize(h_float)
-        x_fixed = PAPER_QFORMAT.quantize(x_float)
-        fixed_out = fixed_gates.run(h_fixed, [x_fixed.copy() for _ in range(4)])
+        h_float = rng.uniform(-0.5, 0.5, size=(1, 5))
+        x_float = host_weights.embedding[[1]]
+        float_out = float_gates.run_batch(h_float, x_float)
+        fixed_out = fixed_gates.run_batch(
+            PAPER_QFORMAT.quantize(h_float), PAPER_QFORMAT.quantize(x_float)
+        )
         for name in ("i", "f", "o"):
             np.testing.assert_allclose(
                 PAPER_QFORMAT.dequantize(fixed_out[name]), float_out[name], atol=0.02
@@ -115,11 +107,6 @@ class TestGates:
         np.testing.assert_allclose(
             PAPER_QFORMAT.dequantize(fixed_out["c"]), float_out["c"], atol=1e-4
         )
-
-    def test_rejects_wrong_copy_count(self, host_weights):
-        _, gates, _ = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
-        with pytest.raises(ValueError):
-            gates.run(np.zeros(5), [np.zeros(3)])
 
     def test_fixed_point_reports_ii(self, host_weights):
         _, gates, _ = loaded_kernels(OptimizationLevel.FIXED_POINT, host_weights)
@@ -149,20 +136,20 @@ class TestGates:
         _, one, _ = loaded_kernels(
             OptimizationLevel.VANILLA, host_weights, num_gate_cus=1
         )
-        h = rng.standard_normal(5)
-        x = host_weights.embedding[0]
-        out_four = four.run(h, [x.copy() for _ in range(4)])
-        out_one = one.run(h, [x.copy()])
+        h = rng.standard_normal((3, 5))
+        x = host_weights.embedding[[0, 4, 7]]
+        out_four = four.run_batch(h, x)
+        out_one = one.run_batch(h, x)
         for name in out_four:
-            np.testing.assert_allclose(out_four[name], out_one[name])
+            np.testing.assert_array_equal(out_four[name], out_one[name])
 
 
 class TestHiddenState:
     def _gate_values(self, rng, fixed=False):
-        i = rng.uniform(0.1, 0.9, size=5)
-        f = rng.uniform(0.1, 0.9, size=5)
-        o = rng.uniform(0.1, 0.9, size=5)
-        c = rng.uniform(-0.8, 0.8, size=5)
+        i = rng.uniform(0.1, 0.9, size=(1, 5))
+        f = rng.uniform(0.1, 0.9, size=(1, 5))
+        o = rng.uniform(0.1, 0.9, size=(1, 5))
+        c = rng.uniform(-0.8, 0.8, size=(1, 5))
         if fixed:
             return {k: PAPER_QFORMAT.quantize(v) for k, v in zip("ifoc", (i, f, o, c))}
         return {"i": i, "f": f, "o": o, "c": c}
@@ -170,44 +157,24 @@ class TestHiddenState:
     def test_cell_update_math(self, host_weights, rng):
         _, _, hidden = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
         gates = self._gate_values(rng)
-        copies, prediction = hidden.run(gates)
-        expected_cell = gates["f"] * 0.0 + gates["i"] * gates["c"]
+        cell = rng.uniform(-0.5, 0.5, size=(1, 5))
+        new_hidden, new_cell = hidden.step_batch(gates, cell)
+        expected_cell = gates["f"] * cell + gates["i"] * gates["c"]
         expected_hidden = gates["o"] * softsign(expected_cell)
-        np.testing.assert_allclose(copies[0], expected_hidden, atol=1e-12)
-        assert prediction is None  # sequence not complete yet
-
-    def test_prediction_fires_at_sequence_end(self, host_weights, rng):
-        _, _, hidden = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
-        prediction = None
-        for _ in range(DIMS.sequence_length):
-            _, prediction = hidden.run(self._gate_values(rng))
-        assert prediction is not None
-        assert 0.0 < prediction < 1.0
-
-    def test_static_counter_tracks_items(self, host_weights, rng):
-        _, _, hidden = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
-        hidden.run(self._gate_values(rng))
-        hidden.run(self._gate_values(rng))
-        assert hidden.items_processed == 2
-        hidden.reset()
-        assert hidden.items_processed == 0
-
-    def test_copies_per_cu(self, host_weights, rng):
-        _, _, hidden = loaded_kernels(OptimizationLevel.VANILLA, host_weights)
-        copies, _ = hidden.run(self._gate_values(rng))
-        assert len(copies) == 4
-        copies[0][0] = 123.0
-        assert copies[1][0] != 123.0
+        np.testing.assert_allclose(new_cell, expected_cell, atol=1e-12)
+        np.testing.assert_allclose(new_hidden, expected_hidden, atol=1e-12)
 
     def test_run_before_load_raises(self, rng):
         kernel = HiddenStateKernel(make_config())
         with pytest.raises(RuntimeError):
-            kernel.run(self._gate_values(rng))
+            kernel.step_batch(self._gate_values(rng), np.zeros((1, 5)))
 
     def test_fixed_point_state_is_integer(self, host_weights, rng):
         _, _, hidden = loaded_kernels(OptimizationLevel.FIXED_POINT, host_weights)
-        copies, _ = hidden.run(self._gate_values(rng, fixed=True))
-        assert copies[0].dtype == np.int64
+        new_hidden, new_cell = hidden.step_batch(
+            self._gate_values(rng, fixed=True), np.zeros((1, 5), dtype=np.int64)
+        )
+        assert new_hidden.dtype == new_cell.dtype == np.int64
 
     def test_ii_gives_wide_margin_reduction(self, host_weights):
         # Fig. 3: "II minimization reduced the execution time of

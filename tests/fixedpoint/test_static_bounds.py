@@ -104,7 +104,7 @@ class TestEngineNeverRescansWeights:
         )
         stacked, per_gate = self._sizes(engine)
         assert trace.count(stacked) == 1      # stacked (4H, H+E) matrix
-        assert trace.count(per_gate) == 4     # one per gate
+        assert trace.count(per_gate) == 0     # no kernel reads a lone gate
         assert trace.count(engine.config.dimensions.hidden_size) >= 1  # FC
 
     def test_inference_never_scans_weight_sized_operands(self, trace):

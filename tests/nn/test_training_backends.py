@@ -3,8 +3,8 @@
 The fused backend's whole value proposition is "faster and *identical*":
 every loss, every gradient array, and every full training trajectory must
 match the reference path bit for bit, on every shape hypothesis can dream
-up.  The degradation ladder (C -> NumPy -> reference) must be
-observable through ``repro_train_backend_fallback_total`` and never
+up.  Every degradation (no compiler, a rejected compiled tier, an
+unsupported cell) runs the reference path; it must be observable through ``repro_train_backend_fallback_total`` and never
 change a single number.
 """
 
@@ -147,23 +147,6 @@ class TestFusedParity:
             ).records
         assert histories["reference"] == histories["fused"]
 
-    def test_numpy_rung_parity(self, monkeypatch):
-        """With every compiled tier disabled, the fused NumPy formulation
-        still matches the reference bitwise (and stays on the fused path)."""
-        monkeypatch.setattr(
-            kernels, "_build_cc_train_steps", lambda hidden: None
-        )
-        model = _model(seed=11)
-        fused = resolve_training_backend("fused", model)
-        assert fused.accel_tier is None
-        assert not fused._delegate  # still the fused pass, not reference
-        rng = np.random.default_rng(11)
-        token_ids, labels = _batch(rng, 6, 8)
-        _assert_same_result(
-            fused.train_batch(token_ids, labels),
-            _model(seed=11).train_batch(token_ids, labels),
-        )
-
 
 class TestDegradation:
     def test_tanh_model_delegates_to_reference(self):
@@ -186,23 +169,27 @@ class TestDegradation:
         assert FALLBACK_UNSUPPORTED in reasons
 
     def test_broken_compiled_tier_is_caught_at_build_time(self, monkeypatch):
-        """A compiled tier producing wrong bits is rejected by the build-time
-        self-check (counted as ``jit_error``) and the kernel re-validates on
-        the NumPy rung — training output never changes."""
+        """A compiled tier producing wrong bits (here a forward step that
+        drops the input-gate term of the cell update) is rejected by the
+        build-time self-check, counted once as ``self_check_failed``, and
+        training runs the reference path — its output never changes."""
+        from repro import cbuild
 
-        def broken_fwd(*arrays):
-            arrays[2][...] = 0.5  # corrupt the input-gate cache
+        render = kernels._render_cc_train_steps
+        correct = "double c_new = s_f * cprev[k] + s_i * c_b;"
 
-        def inert_bwd(*arrays):
-            arrays[8].fill(0.0)  # d_pre: defined but wrong
+        def broken(hidden_size):
+            source = render(hidden_size)
+            assert correct in source
+            return source.replace(correct, "double c_new = s_f * cprev[k];")
 
-        monkeypatch.setattr(
-            kernels, "_build_cc_train_steps",
-            lambda hidden: kernels._TrainSteps(fwd=broken_fwd, bwd=inert_bwd),
-        )
+        monkeypatch.setattr(cbuild, "_LIBRARIES", {})
+        monkeypatch.setattr(kernels, "_render_cc_train_steps", broken)
+        if kernels._build_cc_train_steps(16) is None:
+            pytest.skip("no system C compiler")
         fused = resolve_training_backend("fused", _model(seed=7))
         assert fused.accel_tier is None
-        assert kernels.FALLBACK_JIT_ERROR in fused.fallback_reasons
+        assert fused.fallback_reasons == {FALLBACK_SELF_CHECK: 1}
         rng = np.random.default_rng(7)
         token_ids, labels = _batch(rng, 3, 5)
         _assert_same_result(
@@ -210,13 +197,15 @@ class TestDegradation:
             _model(seed=7).train_batch(token_ids, labels),
         )
 
-    def test_missing_compiler_runs_numpy_rung(self, monkeypatch):
+    def test_missing_compiler_runs_reference(self, monkeypatch):
+        """Without a compiler, training counts ``jit_error`` once and
+        runs the reference path: whole fits match bit for bit."""
         from repro import cbuild
 
         monkeypatch.setattr(cbuild, "_LIBRARIES", {})
         monkeypatch.setattr(cbuild.shutil, "which", lambda name: None)
         fused = resolve_training_backend("fused", _model(seed=9))
-        assert fused.accel_tier is None and not fused._delegate
+        assert fused.accel_tier is None
         assert fused.fallback_reasons == {kernels.FALLBACK_JIT_ERROR: 1}
         rng = np.random.default_rng(9)
         token_ids, labels = _batch(rng, 4, 5)
@@ -224,6 +213,18 @@ class TestDegradation:
             fused.train_batch(token_ids, labels),
             _model(seed=9).train_batch(token_ids, labels),
         )
+        train_x, train_y = _batch(rng, 30, 6)
+        test_x, test_y = _batch(rng, 6, 6)
+        weights = {}
+        for backend in ("reference", "fused"):
+            model = _model(seed=9)
+            trainer = Trainer(model, TrainingConfig(epochs=2, batch_size=8,
+                                                    seed=9, backend=backend))
+            trainer.fit(train_x, train_y, test_x, test_y)
+            weights[backend] = model.get_weights()
+        assert trainer.kernel.fallback_reasons == {kernels.FALLBACK_JIT_ERROR: 1}
+        for a, b in zip(weights["reference"], weights["fused"]):
+            assert np.array_equal(a, b)
 
     def test_batch_counter_by_backend(self):
         telemetry = Telemetry()
